@@ -1,7 +1,7 @@
 """Compensation-term construction: initial triple and the (s+1)-ary tree.
 
 The stationary distribution is assembled from product forms
-``c * alpha^m * beta^|n| * v`` added in alternating repair passes:
+``coeff * alpha^m * beta^|n| * vec`` added in alternating repair passes:
 
 * Level 0 is the unique triple (``s`` upper-quadrant forms sharing
   ``alpha = rho^(1+s)``, a horizontal vector for the ``n = 0`` row, one
@@ -19,15 +19,22 @@ The stationary distribution is assembled from product forms
 Each vertical term therefore has ``s + 1`` children, giving an (s+1)-ary
 tree.  Within level ``l`` the parent ``i`` owns child indices
 ``d(i)+1 .. d(i)+s`` (upper) and ``i*(s+1)`` (lower), ``d(i) = (i-1)*(s+1)``.
-Moduli decrease strictly down the tree, so coefficients eventually underflow;
-terms whose contribution falls below 1e-300 are pruned with a counter.
+
+The tree stores every level of each kind (``hat_pos``, ``hat_neg``,
+``tilde_pos``, ``tilde_neg``, ``h_vecs``) as one :class:`Block` of arrays;
+the level and kind of a term are where its block is stored.  An ``n = 0``
+row vector is a block row with ``beta = coeff = 1``, so one formula
+evaluates every block.  The repair steps work one node at a time on
+:class:`Term` rows with Python scalars.  Moduli decrease strictly down the
+tree, so coefficients eventually underflow; terms whose contribution falls
+below 1e-300 are pruned from their level with a counter.
 """
 
 from __future__ import annotations
 
-import enum
 import io
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,10 +51,8 @@ from .kernel import (
 from .model import ModelParams, RateMatrices, build_rate_matrices
 
 __all__ = [
-    "TermKind",
-    "PosTerm",
-    "NegTerm",
-    "HorizontalVector",
+    "Term",
+    "Block",
     "Bundle",
     "TermTree",
     "initial_solution",
@@ -62,54 +67,65 @@ __all__ = [
 PRUNE_FLOOR = 1e-300
 
 
-class TermKind(enum.Enum):
-    HORIZONTAL = "horizontal"  # created by the initial triple or a horizontal pass
-    VERTICAL = "vertical"  # created by a vertical pass
+class Term(NamedTuple):
+    """One product form ``coeff * alpha^m * beta^|n| * vec``: a block row."""
 
-
-@dataclass(frozen=True)
-class PosTerm:
-    """Upper-quadrant product form ``coeff * alpha^m * beta^n * eigvec``."""
-
-    level: int
     index: int
     alpha: complex
     beta: complex
     coeff: complex
-    eigvec: np.ndarray
-    kind: TermKind
+    vec: np.ndarray
 
 
 @dataclass(frozen=True)
-class NegTerm:
-    """Lower-quadrant product form ``coeff * alpha^m * beta^|n| * eigvec``."""
+class Block:
+    """One tree level of one kind: ``k`` terms as arrays, ``vec`` of shape (k, s)."""
 
-    level: int
-    index: int
-    alpha: complex
-    beta: complex
-    coeff: complex
-    eigvec: np.ndarray
-    kind: TermKind
+    index: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    coeff: np.ndarray
+    vec: np.ndarray
 
+    @classmethod
+    def of(cls, terms: list[Term], s: int) -> Block:
+        """Stack ``terms``; an empty level still has ``vec`` of shape (0, s)."""
+        return cls(
+            index=np.array([t.index for t in terms], dtype=int),
+            alpha=np.array([t.alpha for t in terms], dtype=complex),
+            beta=np.array([t.beta for t in terms], dtype=complex),
+            coeff=np.array([t.coeff for t in terms], dtype=complex),
+            vec=np.array([t.vec for t in terms], dtype=complex).reshape(-1, s),
+        )
 
-@dataclass(frozen=True)
-class HorizontalVector:
-    """The ``n = 0`` row contribution ``alpha^m * h`` of one tree node."""
+    def __len__(self) -> int:
+        return len(self.index)
 
-    level: int
-    index: int
-    alpha: complex
-    h: np.ndarray
+    def __getitem__(self, i: int) -> Term:
+        """Row ``i`` with Python scalars, the types the repair steps compute in."""
+        return Term(
+            int(self.index[i]),
+            complex(self.alpha[i]),
+            complex(self.beta[i]),
+            complex(self.coeff[i]),
+            self.vec[i],
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def value(self, m: int, n: int) -> np.ndarray:
+        """Sum of the block's terms at state ``(m, n)``."""
+        return (self.coeff * self.alpha**m * self.beta ** abs(n)) @ self.vec
 
 
 @dataclass
 class Bundle:
     """Output of one horizontal step: s upper terms, one lower, one h-vector."""
 
-    pos: list[PosTerm]
-    neg: NegTerm
-    h: HorizontalVector
+    pos: list[Term]
+    neg: Term
+    h: Term
 
 
 def initial_solution(p: ModelParams, rm: RateMatrices | None = None) -> Bundle:
@@ -146,33 +162,11 @@ def initial_solution(p: ModelParams, rm: RateMatrices | None = None) -> Bundle:
         cols * grade[:, None], rhs * grade, "initial coefficient system"
     )
     h = alpha * np.linalg.solve(G, sum(c * v for c, v in zip(c_hat, ipos)))
-
-    pos_terms = [
-        PosTerm(
-            level=0,
-            index=r.branch,
-            alpha=complex(alpha),
-            beta=r.value,
-            coeff=complex(c),
-            eigvec=v,
-            kind=TermKind.HORIZONTAL,
-        )
-        for r, c, v in zip(roots, c_hat, ipos)
-    ]
-    neg_term = NegTerm(
-        level=0,
-        index=s + 1,
-        alpha=complex(alpha),
-        beta=bneg,
-        coeff=1.0 + 0.0j,
-        eigvec=ineg,
-        kind=TermKind.HORIZONTAL,
-    )
-    hvec = HorizontalVector(level=0, index=1, alpha=complex(alpha), h=h)
-    return Bundle(pos=pos_terms, neg=neg_term, h=hvec)
+    x = np.concatenate([h, c_hat, [1.0]])
+    return _bundle_from_solution(1, complex(alpha), x, roots, bneg, ipos, ineg, s)
 
 
-def vertical_step_pos(t: PosTerm, p: ModelParams) -> PosTerm:
+def vertical_step_pos(t: Term, p: ModelParams) -> Term:
     """Partner term so the two-term sum satisfies the upper vertical equations.
 
     The partner alpha is the second root of the same branch quadratic (inside
@@ -180,29 +174,15 @@ def vertical_step_pos(t: PosTerm, p: ModelParams) -> PosTerm:
     ``-c * (1 - (beta/alpha)(1+s)rho) / (1 - (beta/alpha')(1+s)rho)``.
     """
     b = (1 + p.s) * p.rho
-    alpha1 = partner_alpha_pos(t.alpha, t.beta, _branch_of(t, p), p)
+    alpha1 = partner_alpha_pos(t.alpha, t.beta, p)
     denom = 1 - (t.beta / alpha1) * b
     if denom == 0:
         raise ZeroDivisionError("vertical coefficient denominator vanished")
     coeff = -t.coeff * (1 - (t.beta / t.alpha) * b) / denom
-    return PosTerm(
-        level=t.level + 1,
-        index=t.index,
-        alpha=alpha1,
-        beta=t.beta,
-        coeff=coeff,
-        eigvec=t.eigvec,
-        kind=TermKind.VERTICAL,
-    )
+    return Term(t.index, alpha1, t.beta, coeff, t.vec)
 
 
-def _branch_of(t: PosTerm, p: ModelParams) -> int:
-    """Branch index of an upper term, recovered from its in-level position."""
-    j = t.index % (p.s + 1)
-    return j if j != 0 else p.s + 1
-
-
-def vertical_step_neg(t: NegTerm, p: ModelParams) -> NegTerm:
+def vertical_step_neg(t: Term, p: ModelParams) -> Term:
     """Partner term so the two-term sum satisfies the lower vertical equations."""
     s = p.s
     b = (1 + s) * p.rho
@@ -211,16 +191,8 @@ def vertical_step_neg(t: NegTerm, p: ModelParams) -> NegTerm:
     denom = s - (t.beta / alpha1) * b * vec1[s - 1]
     if denom == 0:
         raise ZeroDivisionError("vertical coefficient denominator vanished")
-    coeff = -t.coeff * (s - (t.beta / t.alpha) * b * t.eigvec[s - 1]) / denom
-    return NegTerm(
-        level=t.level + 1,
-        index=t.index,
-        alpha=alpha1,
-        beta=t.beta,
-        coeff=coeff,
-        eigvec=vec1,
-        kind=TermKind.VERTICAL,
-    )
+    coeff = -t.coeff * (s - (t.beta / t.alpha) * b * t.vec[s - 1]) / denom
+    return Term(t.index, alpha1, t.beta, coeff, vec1)
 
 
 def _horizontal_matrix(
@@ -258,7 +230,8 @@ def _horizontal_matrix(
 
 
 def _bundle_from_solution(
-    t: PosTerm | NegTerm,
+    index: int,
+    alpha: complex,
     x: np.ndarray,
     roots,
     bneg: complex,
@@ -266,33 +239,15 @@ def _bundle_from_solution(
     ineg: np.ndarray,
     s: int,
 ) -> Bundle:
-    d = (t.index - 1) * (s + 1)
-    h = x[0:s]
-    c_hat = x[s : 2 * s]
-    c_neg = x[2 * s]
-    pos_terms = [
-        PosTerm(
-            level=t.level,
-            index=d + r.branch,
-            alpha=t.alpha,
-            beta=r.value,
-            coeff=complex(c),
-            eigvec=v,
-            kind=TermKind.HORIZONTAL,
-        )
-        for r, c, v in zip(roots, c_hat, ipos)
+    """Children of node ``index`` from ``x = (h, c_1..c_s, c_{s+1})``."""
+    d = (index - 1) * (s + 1)
+    pos = [
+        Term(d + r.branch, alpha, r.value, complex(c), v)
+        for r, c, v in zip(roots, x[s : 2 * s], ipos)
     ]
-    neg_term = NegTerm(
-        level=t.level,
-        index=t.index * (s + 1),
-        alpha=t.alpha,
-        beta=bneg,
-        coeff=complex(c_neg),
-        eigvec=ineg,
-        kind=TermKind.HORIZONTAL,
-    )
-    hvec = HorizontalVector(level=t.level, index=t.index, alpha=t.alpha, h=h)
-    return Bundle(pos=pos_terms, neg=neg_term, h=hvec)
+    neg = Term(index * (s + 1), alpha, bneg, complex(x[2 * s]), ineg)
+    h = Term(index, alpha, 1 + 0j, 1 + 0j, x[0:s])
+    return Bundle(pos=pos, neg=neg, h=h)
 
 
 def _solve_horizontal(
@@ -316,7 +271,7 @@ def _solve_horizontal(
 
 
 def horizontal_step_pos(
-    t: PosTerm, p: ModelParams, rm: RateMatrices | None = None
+    t: Term, p: ModelParams, rm: RateMatrices | None = None
 ) -> Bundle:
     """Repair bundle for a vertical upper term.
 
@@ -329,14 +284,14 @@ def horizontal_step_pos(
     s = p.s
     A, roots, bneg, ipos, ineg, M1, _ = _horizontal_matrix(p, rm, t.alpha)
     rhs = np.zeros(2 * s + 1, dtype=complex)
-    rhs[0:s] = t.coeff * t.alpha * t.eigvec
-    rhs[s : 2 * s] = -t.coeff * t.beta * (M1 @ t.eigvec)
+    rhs[0:s] = t.coeff * t.alpha * t.vec
+    rhs[s : 2 * s] = -t.coeff * t.beta * (M1 @ t.vec)
     x = _solve_horizontal(A, rhs, t.alpha, s)
-    return _bundle_from_solution(t, x, roots, bneg, ipos, ineg, s)
+    return _bundle_from_solution(t.index, t.alpha, x, roots, bneg, ipos, ineg, s)
 
 
 def horizontal_step_neg(
-    t: NegTerm, p: ModelParams, rm: RateMatrices | None = None
+    t: Term, p: ModelParams, rm: RateMatrices | None = None
 ) -> Bundle:
     """Repair bundle for a vertical lower term (sources on ``n = 0, -1`` rows)."""
     if rm is None:
@@ -344,58 +299,48 @@ def horizontal_step_neg(
     s = p.s
     A, roots, bneg, ipos, ineg, _, M2 = _horizontal_matrix(p, rm, t.alpha)
     rhs = np.zeros(2 * s + 1, dtype=complex)
-    rhs[s : 2 * s] = -t.coeff * t.beta * (M2 @ t.eigvec)
+    rhs[s : 2 * s] = -t.coeff * t.beta * (M2 @ t.vec)
     rhs[2 * s] = t.coeff * t.alpha * s
     x = _solve_horizontal(A, rhs, t.alpha, s)
-    return _bundle_from_solution(t, x, roots, bneg, ipos, ineg, s)
+    return _bundle_from_solution(t.index, t.alpha, x, roots, bneg, ipos, ineg, s)
 
 
 class TermTree:
-    """All compensation terms built so far, organized by level and pass.
+    """All compensation terms built so far, one :class:`Block` per level.
 
     ``passes`` counts completed repair passes: pass 0 is the initial triple,
     odd passes are vertical, even passes horizontal.  After ``L`` passes the
     tree holds horizontal levels ``0..L//2`` (coefficients + h-vectors) and
-    vertical levels ``1..(L+1)//2``.  Levels are append-only; sibling nodes
-    are independent given their parent.
+    vertical levels ``1..(L+1)//2`` (``tilde_*[0]`` is empty).  Levels are
+    append-only; sibling nodes are independent given their parent.
     """
 
     def __init__(self, p: ModelParams):
         self.params = p
         self.rm = build_rate_matrices(p)
         bundle = initial_solution(p, self.rm)
-        self.hat_pos: list[list[PosTerm]] = [list(bundle.pos)]
-        self.hat_neg: list[list[NegTerm]] = [[bundle.neg]]
-        self.h_vecs: list[list[HorizontalVector]] = [[bundle.h]]
-        self.tilde_pos: list[list[PosTerm]] = [[]]
-        self.tilde_neg: list[list[NegTerm]] = [[]]
+        s = p.s
+        self.hat_pos: list[Block] = [Block.of(bundle.pos, s)]
+        self.hat_neg: list[Block] = [Block.of([bundle.neg], s)]
+        self.h_vecs: list[Block] = [Block.of([bundle.h], s)]
+        self.tilde_pos: list[Block] = [Block.of([], s)]
+        self.tilde_neg: list[Block] = [Block.of([], s)]
         self.passes = 0
         self.pruned = 0
-        self._flat: dict[tuple[str, int], tuple] = {}
 
-    @property
-    def hat_depth(self) -> int:
-        return len(self.hat_pos) - 1
-
-    @property
-    def tilde_depth(self) -> int:
-        return len(self.tilde_pos) - 1
-
-    def _keep(self, term: PosTerm | NegTerm) -> bool:
-        if abs(term.coeff) * abs(term.beta) < PRUNE_FLOOR:
-            self.pruned += 1
-            return False
-        return True
+    def _pruned_block(self, terms: list[Term]) -> Block:
+        """Block of ``terms`` without those below the prune floor (counted)."""
+        kept = [t for t in terms if not abs(t.coeff) * abs(t.beta) < PRUNE_FLOOR]
+        self.pruned += len(terms) - len(kept)
+        return Block.of(kept, self.params.s)
 
     @staticmethod
-    def _step(fn, term, *args):
+    def _step(fn, level: int, term: Term, *args):
         """Run one repair step, tagging failures with the tree position."""
         try:
             return fn(term, *args)
         except SedqError as exc:
-            raise type(exc)(
-                f"level {term.level}, node {term.index}: {exc}"
-            ) from exc
+            raise type(exc)(f"level {level}, node {term.index}: {exc}") from exc
 
     def ensure_passes(self, L: int) -> None:
         """Grow the tree until ``L`` repair passes are complete."""
@@ -403,81 +348,44 @@ class TermTree:
         while self.passes < L:
             k = self.passes + 1
             if k % 2 == 1:
-                level = (k + 1) // 2
+                parent = k // 2
                 new_pos = [
-                    self._step(vertical_step_pos, t, p)
-                    for t in self.hat_pos[level - 1]
+                    self._step(vertical_step_pos, parent, t, p)
+                    for t in self.hat_pos[parent]
                 ]
                 new_neg = [
-                    self._step(vertical_step_neg, t, p)
-                    for t in self.hat_neg[level - 1]
+                    self._step(vertical_step_neg, parent, t, p)
+                    for t in self.hat_neg[parent]
                 ]
-                self.tilde_pos.append([t for t in new_pos if self._keep(t)])
-                self.tilde_neg.append([t for t in new_neg if self._keep(t)])
+                self.tilde_pos.append(self._pruned_block(new_pos))
+                self.tilde_neg.append(self._pruned_block(new_neg))
             else:
                 level = k // 2
-                hat_p: list[PosTerm] = []
-                hat_n: list[NegTerm] = []
-                hs: list[HorizontalVector] = []
-                for t in self.tilde_pos[level]:
-                    bundle = self._step(horizontal_step_pos, t, p, self.rm)
-                    hat_p.extend(b for b in bundle.pos if self._keep(b))
-                    if self._keep(bundle.neg):
-                        hat_n.append(bundle.neg)
-                    hs.append(bundle.h)
-                for t in self.tilde_neg[level]:
-                    bundle = self._step(horizontal_step_neg, t, p, self.rm)
-                    hat_p.extend(b for b in bundle.pos if self._keep(b))
-                    if self._keep(bundle.neg):
-                        hat_n.append(bundle.neg)
-                    hs.append(bundle.h)
-                self.hat_pos.append(hat_p)
-                self.hat_neg.append(hat_n)
-                self.h_vecs.append(hs)
+                bundles = [
+                    self._step(horizontal_step_pos, level, t, p, self.rm)
+                    for t in self.tilde_pos[level]
+                ] + [
+                    self._step(horizontal_step_neg, level, t, p, self.rm)
+                    for t in self.tilde_neg[level]
+                ]
+                self.hat_pos.append(
+                    self._pruned_block([t for b in bundles for t in b.pos])
+                )
+                self.hat_neg.append(self._pruned_block([b.neg for b in bundles]))
+                self.h_vecs.append(Block.of([b.h for b in bundles], p.s))
             self.passes = k
-
-    # -- flattened per-level views used by the series evaluator --
-
-    def flat(self, kind: str, level: int) -> tuple:
-        """Arrays ``(alphas, betas, coeffs, eigvec matrix)`` for one level.
-
-        ``kind`` is one of ``hat_pos``, ``hat_neg``, ``tilde_pos``,
-        ``tilde_neg``, ``h``.  For ``h`` the tuple is ``(alphas, h matrix)``.
-        Levels are immutable once their pass completes, so entries cache.
-        """
-        key = (kind, level)
-        if key in self._flat:
-            return self._flat[key]
-        if kind == "h":
-            items = self.h_vecs[level]
-            out = (
-                np.array([t.alpha for t in items]),
-                np.array([t.h for t in items]),
-            )
-        else:
-            items = getattr(self, kind)[level]
-            out = (
-                np.array([t.alpha for t in items]),
-                np.array([t.beta for t in items]),
-                np.array([t.coeff for t in items]),
-                np.array([t.eigvec for t in items]),
-            )
-        self._flat[key] = out
-        return out
 
     def max_abs_alpha(self, level: int) -> float:
         """Largest |alpha| over the level (level 0: the initial alpha)."""
         if level == 0:
             return abs(self.hat_pos[0][0].alpha)
-        return max(
-            abs(t.alpha) for t in self.tilde_pos[level] + self.tilde_neg[level]
-        )
+        pos, neg = self.tilde_pos[level], self.tilde_neg[level]
+        return float(np.abs(np.concatenate([pos.alpha, neg.alpha])).max())
 
     def max_abs_beta(self, level: int) -> float:
         """Largest |beta| over the horizontal terms of the level."""
-        return max(
-            abs(t.beta) for t in self.hat_pos[level] + self.hat_neg[level]
-        )
+        pos, neg = self.hat_pos[level], self.hat_neg[level]
+        return float(np.abs(np.concatenate([pos.beta, neg.beta])).max())
 
 
 def grow_tree(p: ModelParams, L: int) -> TermTree:
@@ -490,8 +398,8 @@ def grow_tree(p: ModelParams, L: int) -> TermTree:
 def serialize_tree(tree: TermTree) -> str:
     """One CSV record per term: kind, level, index, complex parts, vector.
 
-    Horizontal-vector records leave the beta and coefficient columns empty
-    and carry the h entries in the vector columns.
+    Horizontal-vector records (kind ``h``) leave the beta and coefficient
+    columns empty and carry the h entries in the vector columns.
     """
     buf = io.StringIO()
     s = tree.params.s
@@ -501,24 +409,16 @@ def serialize_tree(tree: TermTree) -> str:
         f"coeff_re,coeff_im,{vec_cols}\n"
     )
 
-    def vec_str(v: np.ndarray) -> str:
-        return ",".join(f"{z.real:.17g},{z.imag:.17g}" for z in v)
+    def cplx(*zs) -> str:
+        return ",".join(f"{z.real:.17g},{z.imag:.17g}" for z in zs)
 
-    for kind in ("hat_pos", "hat_neg", "tilde_pos", "tilde_neg"):
-        for level_terms in getattr(tree, kind):
-            for t in level_terms:
-                buf.write(
-                    f"{kind},{t.level},{t.index},"
-                    f"{t.alpha.real:.17g},{t.alpha.imag:.17g},"
-                    f"{t.beta.real:.17g},{t.beta.imag:.17g},"
-                    f"{t.coeff.real:.17g},{t.coeff.imag:.17g},"
-                    f"{vec_str(t.eigvec)}\n"
-                )
-    for level_vecs in tree.h_vecs:
-        for hv in level_vecs:
-            buf.write(
-                f"h,{hv.level},{hv.index},"
-                f"{hv.alpha.real:.17g},{hv.alpha.imag:.17g},,,,,"
-                f"{vec_str(np.asarray(hv.h, dtype=complex))}\n"
-            )
+    for kind in ("hat_pos", "hat_neg", "tilde_pos", "tilde_neg", "h_vecs"):
+        for level, block in enumerate(getattr(tree, kind)):
+            for t in block:
+                if kind == "h_vecs":
+                    head = f"h,{level},{t.index},{cplx(t.alpha)},,,,"
+                else:
+                    parts = cplx(t.alpha, t.beta, t.coeff)
+                    head = f"{kind},{level},{t.index},{parts}"
+                buf.write(f"{head},{cplx(*t.vec)}\n")
     return buf.getvalue()

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._linalg import solve_checked
 from .errors import SearchExhausted
-from .kernel import f_pm, roots_of_unity
+from .kernel import f_pm, roots_of_unity, v_ratio_roots
 from .model import ModelParams
 
 __all__ = [
@@ -76,11 +76,9 @@ def limit_roots(
     Both discriminants are positive for rho in (0, 1); Vieta gives
     ``v_plus*v_minus = 1/((1+s)*rho)`` and ``w_minus*f0_plus^s = 1``.
     """
-    s, rho = p.s, p.rho
-    b = (1 + s) * rho
-    disc = np.sqrt((rho + 1) ** 2 - 4 * rho / (1 + s))
-    v_plus = (rho + 1 + disc) / (2 * rho)
-    v_minus = (1 / b) / v_plus
+    s = p.s
+    b = (1 + s) * p.rho
+    v_minus, v_plus = v_ratio_roots(p)
     fp0, fm0 = f_pm(0.0, p)
     fp0, fm0 = fp0.real, fm0.real
     power_sum = s**s * (fp0**s + fm0**s)

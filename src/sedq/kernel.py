@@ -66,6 +66,7 @@ __all__ = [
     "kernel_matrix_pos",
     "kernel_matrix_neg",
     "winding_count",
+    "v_ratio_roots",
 ]
 
 #: residual tolerance (relative) for accepting a polished root
@@ -230,8 +231,8 @@ def winding_count(
     return count
 
 
-def _v_ratio_roots(p: ModelParams) -> tuple[float, float]:
-    """Roots of ``v^2*(1+s)*rho - v*(1+s)*(rho+1) + 1 = 0`` (limit ratios)."""
+def v_ratio_roots(p: ModelParams) -> tuple[float, float]:
+    """Limit ratios ``v-, v+``: roots of ``v^2*(1+s)*rho - v*(1+s)*(rho+1) + 1``."""
     _, b = _ab(p)
     disc = math.sqrt((p.rho + 1) ** 2 - 4 * p.rho / (1 + p.s))
     v_plus = (p.rho + 1 + disc) / (2 * p.rho)
@@ -351,7 +352,7 @@ def betas_pos(alpha: complex, p: ModelParams) -> list[BranchedRoot]:
     z_roots = npoly.polyroots(_trim_leading(coeffs, 2))
     seeds = list(z_roots[np.abs(z_roots) < 1.0])
 
-    v_minus, v_plus = _v_ratio_roots(p)
+    v_minus, v_plus = v_ratio_roots(p)
     aroot = principal_root(alpha, s)
     out = []
     for branch, u in enumerate(roots_of_unity(s), start=1):
@@ -423,9 +424,7 @@ def alphas_pos(beta: complex, p: ModelParams) -> list[BranchedRoot]:
     return out
 
 
-def partner_alpha_pos(
-    alpha: complex, beta: complex, branch: int, p: ModelParams
-) -> complex:
+def partner_alpha_pos(alpha: complex, beta: complex, p: ModelParams) -> complex:
     """The second root of the branch quadratic in alpha.
 
     For fixed ``beta`` the branch equation is quadratic in alpha with root

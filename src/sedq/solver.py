@@ -16,12 +16,11 @@ triangles ``T_x = {(m, n): m + |n| <= x}``:
 Series evaluation is incremental: pass ``L`` adds exactly one block of terms
 (a vertical level for odd ``L``, a horizontal level for even ``L``), so the
 per-state accuracy loop costs one block per pass.  States on the ``n = 0``
-axis receive nothing from vertical passes; by default the accuracy loop only
-tests passes that change the value and stops once two of them in a row are
-quiet (``count_unchanged=True`` restores the plain consecutive-pass
-comparison).  The L-map reported by the CLI instead measures each truncation
-against the converged series value (:func:`accuracy_passes`), whose level
-sets organize by ``m + |n|``.
+axis receive nothing from vertical passes; the accuracy loop only tests
+passes that change the value and stops once two of them in a row are quiet.
+The L-map reported by the CLI instead measures each truncation against the
+converged series value (:func:`accuracy_passes`), whose level sets organize
+by ``m + |n|``.
 """
 
 from __future__ import annotations
@@ -71,6 +70,8 @@ __all__ = [
 
 NEGATIVE_DUST = -1e-12
 TINY = 1e-280
+#: passes beyond ``L_max`` that make the converged reference of the L-map
+REF_EXTRA = 3
 
 
 @dataclass(frozen=True)
@@ -122,26 +123,13 @@ def _pass_block(
     Returns ``None`` when the pass cannot touch the state (vertical passes
     never feed the ``n = 0`` axis).
     """
-    s = tree.params.s
     if pass_k % 2 == 1:  # vertical pass: tilde level (k+1)/2
         if n == 0:
             return None
-        level = (pass_k + 1) // 2
-        kind = "tilde_pos" if n > 0 else "tilde_neg"
-        alphas, betas, coeffs, eig = tree.flat(kind, level)
+        levels = tree.tilde_pos if n > 0 else tree.tilde_neg
     else:  # horizontal pass (or the initial triple): hat level k/2
-        level = pass_k // 2
-        if n == 0:
-            alphas, hmat = tree.flat("h", level)
-            if alphas.size == 0:
-                return np.zeros(s, dtype=complex)
-            return (alphas**m) @ hmat
-        kind = "hat_pos" if n > 0 else "hat_neg"
-        alphas, betas, coeffs, eig = tree.flat(kind, level)
-    if alphas.size == 0:
-        return np.zeros(s, dtype=complex)
-    weights = coeffs * alphas**m * betas ** abs(n)
-    return weights @ eig
+        levels = tree.h_vecs if n == 0 else tree.hat_pos if n > 0 else tree.hat_neg
+    return levels[(pass_k + 1) // 2].value(m, n)
 
 
 def eval_series(tree: TermTree, m: int, n: int, L: int) -> np.ndarray:
@@ -176,17 +164,14 @@ def adaptive_L(
     n: int,
     eps: float,
     L_max: int,
-    count_unchanged: bool = False,
 ) -> tuple[np.ndarray, int]:
     """Smallest pass count whose relative update beats ``eps``.
 
-    With ``count_unchanged=True`` this is the plain consecutive-pass rule:
-    the first ``L >= 1`` with ``max_r |p_L(r) - p_{L-1}(r)| / |p_{L-1}(r)| <
-    eps`` (a pass that cannot touch the state counts as a zero gap).  The
-    default mode is the rule the solver relies on: vertical and horizontal
-    increments alternate in size, so it stops only once the gaps of the last
-    *two* value-changing passes are both below ``eps``.  Grows the tree on
-    demand and returns ``(p_L, L)``.
+    The relative update of pass ``L`` is ``max_r |p_L(r) - p_{L-1}(r)| /
+    |p_{L-1}(r)|``.  Vertical and horizontal increments alternate in size, so
+    passes that cannot touch the state are skipped and the loop stops only
+    once the gaps of the last *two* value-changing passes are both below
+    ``eps``.  Grows the tree on demand and returns ``(p_L, L)``.
     """
     tree.ensure_passes(min(1, L_max))
     cur = _pass_block(tree, m, n, 0)
@@ -195,41 +180,29 @@ def adaptive_L(
         tree.ensure_passes(k)
         delta = _pass_block(tree, m, n, k)
         if delta is None:
-            if count_unchanged:
-                return cur, k
             continue
         new = cur + delta
         prev_gap, last_gap = last_gap, _rel_gap(new, cur)
         cur = new
-        if count_unchanged:
-            if last_gap < eps:
-                return cur, k
-        elif last_gap < eps and prev_gap < eps:
+        if last_gap < eps and prev_gap < eps:
             return cur, k
     raise NoConvergenceWithinLmax(
         f"state ({m}, {n}): relative gap {last_gap:.3e} after {L_max} passes"
     )
 
 
-def accuracy_passes(
-    tree: TermTree,
-    m: int,
-    n: int,
-    eps: float,
-    L_max: int,
-    ref_extra: int = 3,
-) -> int:
+def accuracy_passes(tree: TermTree, m: int, n: int, eps: float, L_max: int) -> int:
     """Minimal pass count already within ``eps`` of the converged value.
 
-    The reference is the series ``ref_extra`` passes beyond ``L_max``; the
+    The reference is the series ``REF_EXTRA`` passes beyond ``L_max``; the
     result is capped at ``L_max`` when even that truncation misses ``eps``
     (near the origin the series converges slowly or not at all, and the cap
     is what a depth-capped computation observes there).  This converged-
     reference measure is what the L-map command reports: unlike the
     consecutive-pass gap, its level sets organize by ``m + |n|``.
     """
-    tree.ensure_passes(L_max + ref_extra)
-    ref = eval_series(tree, m, n, L_max + ref_extra)
+    tree.ensure_passes(L_max + REF_EXTRA)
+    ref = eval_series(tree, m, n, L_max + REF_EXTRA)
     cur = _pass_block(tree, m, n, 0)
     for k in range(1, L_max + 1):
         delta = _pass_block(tree, m, n, k)

@@ -43,7 +43,7 @@ def test_01_initial_alpha_exactness():
         alpha = bundle.pos[0].alpha
         assert alpha == pytest.approx(rho ** (1 + s), rel=4e-16, abs=0)
         # the shared decay rate is what makes the tie-breaking row solvable
-        h = bundle.h.h
+        h = bundle.h.vec
         resid = abs(
             -bundle.neg.coeff * alpha * s
             + alpha * s * h[0]

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import rel_residual
 from sedq.compensation import (
-    TermKind,
     TermTree,
     grow_tree,
     horizontal_step_neg,
@@ -47,7 +46,7 @@ class TestInitialSolution:
         assert bundle.pos[0].beta == pytest.approx(0.1, rel=1e-12)
         assert bundle.pos[0].coeff == pytest.approx(1.0, rel=1e-12)
         assert bundle.neg.beta == pytest.approx(0.1, rel=1e-12)
-        assert bundle.h.h[0] == pytest.approx(1 / 3, rel=1e-12)
+        assert bundle.h.vec[0] == pytest.approx(1 / 3, rel=1e-12)
 
     @pytest.mark.parametrize("p", [P21, P34, validate_params(1, 0.8, 0.7)])
     def test_satisfies_interior_and_horizontal_families(self, p):
@@ -69,7 +68,7 @@ class TestInitialSolution:
         for p in (P21, P34):
             bundle = initial_solution(p)
             alpha = bundle.pos[0].alpha
-            h = bundle.h.h
+            h = bundle.h.vec
             resid = (
                 -bundle.neg.coeff * alpha * p.s
                 + alpha * p.s * h[0]
@@ -89,8 +88,8 @@ class TestVerticalStep:
                 if n < 1:
                     return np.zeros(P21.s, dtype=complex)
                 return (
-                    t.coeff * t.alpha**m * t.beta**n * t.eigvec
-                    + new.coeff * new.alpha**m * new.beta**n * new.eigvec
+                    t.coeff * t.alpha**m * t.beta**n * t.vec
+                    + new.coeff * new.alpha**m * new.beta**n * new.vec
                 )
 
             for n in range(2, 6):
@@ -100,9 +99,7 @@ class TestVerticalStep:
         bundle = initial_solution(P34)
         for t in bundle.pos:
             new = vertical_step_pos(t, P34)
-            assert np.max(np.abs(new.eigvec - t.eigvec)) < 1e-12
-            assert new.kind is TermKind.VERTICAL
-            assert new.level == t.level + 1
+            assert np.max(np.abs(new.vec - t.vec)) < 1e-12
             assert abs(new.alpha) < abs(t.beta)
 
     def test_neg_pair_satisfies_vertical_equations(self):
@@ -116,8 +113,8 @@ class TestVerticalStep:
                 return np.zeros(P21.s, dtype=complex)
             k = -n
             return (
-                t.coeff * t.alpha**m * t.beta**k * t.eigvec
-                + new.coeff * new.alpha**m * new.beta**k * new.eigvec
+                t.coeff * t.alpha**m * t.beta**k * t.vec
+                + new.coeff * new.alpha**m * new.beta**k * new.vec
             )
 
         for n in range(-5, -1):
@@ -132,7 +129,7 @@ class TestVerticalStep:
         tn = vertical_step_neg(bundle.neg, p)
         assert tn.alpha == pytest.approx(tp.alpha, rel=1e-10)
         assert alpha_neg(bundle.neg.beta, p) == pytest.approx(
-            partner_alpha_pos(bundle.pos[0].alpha, bundle.pos[0].beta, 1, p),
+            partner_alpha_pos(bundle.pos[0].alpha, bundle.pos[0].beta, p),
             rel=1e-10,
         )
         ratio_pos = tp.coeff / bundle.pos[0].coeff
@@ -149,7 +146,7 @@ class TestHorizontalStep:
         tilde_pos, _ = self._tilde_terms(P21)
         bundle = horizontal_step_pos(tilde_pos[0], P21)
         assert len(bundle.pos) == P21.s
-        assert bundle.h.h.shape == (P21.s,)
+        assert bundle.h.vec.shape == (P21.s,)
         d = (tilde_pos[0].index - 1) * (P21.s + 1)
         assert [t.index for t in bundle.pos] == [d + j for j in range(1, P21.s + 1)]
         assert bundle.neg.index == tilde_pos[0].index * (P21.s + 1)
@@ -163,17 +160,17 @@ class TestHorizontalStep:
         def unit(m, n):
             vec = np.zeros(P21.s, dtype=complex)
             if n >= 1:
-                vec += t.coeff * t.alpha**m * t.beta**n * t.eigvec
+                vec += t.coeff * t.alpha**m * t.beta**n * t.vec
                 for ht in bundle.pos:
-                    vec += ht.coeff * ht.alpha**m * ht.beta**n * ht.eigvec
+                    vec += ht.coeff * ht.alpha**m * ht.beta**n * ht.vec
             elif n == 0:
-                vec += bundle.h.alpha**m * bundle.h.h
+                vec += bundle.h.alpha**m * bundle.h.vec
             else:
                 vec += (
                     bundle.neg.coeff
                     * bundle.neg.alpha**m
                     * bundle.neg.beta ** (-n)
-                    * bundle.neg.eigvec
+                    * bundle.neg.vec
                 )
             return vec
 
@@ -191,16 +188,16 @@ class TestHorizontalStep:
             vec = np.zeros(P21.s, dtype=complex)
             if n >= 1:
                 for ht in bundle.pos:
-                    vec += ht.coeff * ht.alpha**m * ht.beta**n * ht.eigvec
+                    vec += ht.coeff * ht.alpha**m * ht.beta**n * ht.vec
             elif n == 0:
-                vec += bundle.h.alpha**m * bundle.h.h
+                vec += bundle.h.alpha**m * bundle.h.vec
             else:
-                vec += t.coeff * t.alpha**m * t.beta ** (-n) * t.eigvec
+                vec += t.coeff * t.alpha**m * t.beta ** (-n) * t.vec
                 vec += (
                     bundle.neg.coeff
                     * bundle.neg.alpha**m
                     * bundle.neg.beta ** (-n)
-                    * bundle.neg.eigvec
+                    * bundle.neg.vec
                 )
             return vec
 
@@ -212,7 +209,7 @@ class TestHorizontalStep:
         tilde_pos, _ = self._tilde_terms(P34)
         bundle = horizontal_step_pos(tilde_pos[0], P34)
         alpha = tilde_pos[0].alpha
-        h = bundle.h.h
+        h = bundle.h.vec
         resid = (
             -bundle.neg.coeff * alpha * P34.s
             + alpha * P34.s * h[0]
@@ -225,7 +222,7 @@ class TestHorizontalStep:
         t = tilde_neg[0]
         bundle = horizontal_step_neg(t, P34)
         alpha = t.alpha
-        h = bundle.h.h
+        h = bundle.h.vec
         lhs = (
             -bundle.neg.coeff * alpha * P34.s
             + alpha * P34.s * h[0]
@@ -240,8 +237,8 @@ class TestHorizontalStep:
         bundle = horizontal_step_neg(t, P34)
         rm = build_rate_matrices(P34)
         G = rm.A_01 + t.alpha * rm.A_m11
-        total = G @ bundle.h.h - t.alpha * sum(
-            ht.coeff * ht.eigvec for ht in bundle.pos
+        total = G @ bundle.h.vec - t.alpha * sum(
+            ht.coeff * ht.vec for ht in bundle.pos
         )
         assert np.max(np.abs(total)) <= 1e-10 * max(abs(t.alpha), 1e-30)
 
@@ -299,18 +296,18 @@ class TestTreeGrowth:
         # each product form alone solves its quadrant's interior equations
         tree = grow_tree(P34, 4)
         rm = build_rate_matrices(P34)
-        for t in tree.hat_pos[1] + tree.tilde_pos[1]:
+        for t in [*tree.hat_pos[1], *tree.tilde_pos[1]]:
             def one(m, n, t=t):
                 if n < 1:
                     return np.zeros(P34.s, dtype=complex)
-                return t.coeff * t.alpha**m * t.beta**n * t.eigvec
+                return t.coeff * t.alpha**m * t.beta**n * t.vec
             for (m, n) in [(1, 2), (2, 3), (3, 2), (4, 4)]:
                 assert rel_residual(P34, one, m, n, rm) < 1e-10
-        for t in tree.hat_neg[1] + tree.tilde_neg[1]:
+        for t in [*tree.hat_neg[1], *tree.tilde_neg[1]]:
             def one(m, n, t=t):
                 if n > -1:
                     return np.zeros(P34.s, dtype=complex)
-                return t.coeff * t.alpha**m * t.beta ** (-n) * t.eigvec
+                return t.coeff * t.alpha**m * t.beta ** (-n) * t.vec
             for (m, n) in [(1, -2), (2, -3), (3, -2), (4, -4)]:
                 assert rel_residual(P34, one, m, n, rm) < 1e-10
 

@@ -150,28 +150,28 @@ class TestAlphasPos:
 class TestPartnerAlpha:
     def test_vieta_product(self):
         beta = betas_pos(0.125, P21)[0]
-        other = partner_alpha_pos(0.125, beta.value, beta.branch, P21)
+        other = partner_alpha_pos(0.125, beta.value, P21)
         product = 0.125 * other
         assert product == pytest.approx(beta.value**2 * (1 + P21.s) * P21.rho, rel=1e-10)
 
     def test_identical_eigenvectors(self):
         beta = betas_pos(0.125, P21)[1]
-        other = partner_alpha_pos(0.125, beta.value, beta.branch, P21)
+        other = partner_alpha_pos(0.125, beta.value, P21)
         v1 = eigvec_pos(0.125, beta.value, P21)
         v2 = eigvec_pos(other, beta.value, P21)
         assert np.max(np.abs(v1 - v2)) < 1e-12
 
     def test_s1_explicit_roots(self):
-        other = partner_alpha_pos(0.25, 0.1, 1, P15)
+        other = partner_alpha_pos(0.25, 0.1, P15)
         assert other == pytest.approx(0.04, rel=1e-12)
-        assert partner_alpha_pos(other, 0.1, 1, P15) == pytest.approx(0.25, rel=1e-10)
+        assert partner_alpha_pos(other, 0.1, P15) == pytest.approx(0.25, rel=1e-10)
 
     def test_double_root_detected(self):
         # at alpha = beta = 1 (s = 1) the branch quadratic is (alpha - 1)^2
         from sedq.errors import DegenerateQuadratic
 
         with pytest.raises(DegenerateQuadratic):
-            partner_alpha_pos(1.0, 1.0, 1, P15)
+            partner_alpha_pos(1.0, 1.0, P15)
 
 
 class TestFpm:
