@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 from .errors import InvalidParam, SedqError
@@ -84,8 +84,16 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     base: dict = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            base = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                base = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidParam(f"cannot read --config {args.config}: {exc}") from exc
+        if not isinstance(base, dict):
+            raise InvalidParam(f"--config {args.config} must hold a JSON object")
+        unknown = sorted(set(base) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise InvalidParam(f"unknown --config keys: {', '.join(unknown)}")
     for key in ("s", "rho", "q", "eps", "lmax", "m", "k", "format", "out"):
         val = getattr(args, key, None)
         if val is not None:
@@ -94,6 +102,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if key not in base:
             raise InvalidParam(f"missing required parameter --{key}")
     return RunConfig(**base)
+
+
+def _numbers(text: str, sep: str, kind, flag: str) -> list:
+    """The ``sep``-separated numbers of option ``flag``, read by ``kind``."""
+    try:
+        return [kind(x) for x in text.split(sep)]
+    except ValueError as exc:
+        raise InvalidParam(f"{flag}: cannot read numbers from {text!r}") from exc
 
 
 def _open_out(path: str):
@@ -195,8 +211,8 @@ def cmd_nindex(args: argparse.Namespace) -> int:
 
     if args.q is None:
         raise InvalidParam("nindex requires --q")
-    s_list = [int(x) for x in args.s_list.split(",")]
-    rho_list = [float(x) for x in args.rho_list.split(",")]
+    s_list = _numbers(args.s_list, ",", int, "--s-list")
+    rho_list = _numbers(args.rho_list, ",", float, "--rho-list")
     cells = []
     for s in s_list:
         for rho in rho_list:
@@ -219,9 +235,13 @@ def _default_box(p: ModelParams, target: float = 1e-9) -> TruncationBox:
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     p = cfg.model()
+    if args.window < 0:
+        raise InvalidParam(f"--window must be nonnegative, got {args.window}")
     if args.box:
-        q1max, q2max = (int(x) for x in args.box.lower().split("x"))
-        box = TruncationBox(q1max, q2max)
+        extents = _numbers(args.box.lower(), "x", int, "--box")
+        if len(extents) != 2:
+            raise InvalidParam(f"--box must look like Q1xQ2, got {args.box!r}")
+        box = TruncationBox(*extents)
     else:
         box = _default_box(p)
     sol = solve(p, cfg.solver())
@@ -263,13 +283,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_lmap(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     p = cfg.model()
+    if args.span < 0:
+        raise InvalidParam(f"--span must be nonnegative, got {args.span}")
     from .compensation import TermTree
 
-    tree = TermTree(p)
-    rows = []
-    for m, n in triangle_states(args.span):
-        L = accuracy_passes(tree, m, n, cfg.eps, cfg.lmax)
-        rows.append((m, n, L))
+    states = list(triangle_states(args.span))
+    Ls = accuracy_passes(TermTree(p), *zip(*states), cfg.eps, cfg.lmax)
+    rows = [(m, n, L) for (m, n), L in zip(states, Ls.tolist())]
     meta = {
         "s": p.s,
         "rho": FILE_FMT.format(p.rho),

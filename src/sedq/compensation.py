@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 PRUNE_FLOOR = 1e-300
+#: states per weight matrix in :meth:`Block.value`, which bounds its memory
+VALUE_ROWS = 256
 
 
 class Term(NamedTuple):
@@ -114,9 +116,23 @@ class Block:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    def value(self, m: int, n: int) -> np.ndarray:
-        """Sum of the block's terms at state ``(m, n)``."""
-        return (self.coeff * self.alpha**m * self.beta ** abs(n)) @ self.vec
+    def value(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """Sum of the block's terms at each state ``(m[i], n[i])``, shape (k, s).
+
+        Powers take Python-int exponents (an integer-array exponent rounds
+        differently) and each row is its own vector-matrix product, so a
+        state's value does not depend on the other states evaluated with it.
+        """
+        ms, m_at = np.unique(m, return_inverse=True)
+        ns, n_at = np.unique(np.abs(n), return_inverse=True)
+        apow = np.array([self.alpha ** int(e) for e in ms])
+        bpow = np.array([self.beta ** int(e) for e in ns])
+        out = np.empty((len(m), self.vec.shape[1]), dtype=complex)
+        for i in range(0, len(m), VALUE_ROWS):
+            at = slice(i, i + VALUE_ROWS)
+            w = self.coeff * apow[m_at[at]] * bpow[n_at[at]]
+            out[at] = np.matmul(w[:, None, :], self.vec)[:, 0, :]
+        return out
 
 
 @dataclass

@@ -13,11 +13,14 @@ Dividing by ``(a*b*s)^s`` and taking s-th roots splits it into ``s`` branch
 equations ``(...)/(a*b*s) = u_i * b^(1/s)`` with ``u_i`` the s-th roots of
 unity and ``b^(1/s)`` the principal root.  For each fixed ``|alpha| < 1``
 every branch owns exactly one root ``beta`` inside the open disk of radius
-``|alpha|`` (and symmetrically in ``alpha`` for fixed ``beta``); those are the
-roots the compensation construction consumes.  Branch labels for moving
-``beta`` are anchored through ``sigma = u_i * alpha^(1/s)`` (see
-:func:`_branch_residual_z`); the one-root-per-branch property would not
-survive a naive principal-root reading across the cut.
+``|alpha|``; those are the roots the initial triple and the horizontal
+repair steps consume.  A vertical step keeps ``beta`` and needs one new
+``alpha`` only: the second root of the branch quadratic in ``alpha``
+(:func:`partner_alpha_pos`), or the in-disk root of the lower kernel
+(:func:`alpha_neg`).  Branch labels for moving ``beta`` are anchored
+through ``sigma = u_i * alpha^(1/s)`` (see :func:`_branch_residual_z`); the
+one-root-per-branch property would not survive a naive principal-root
+reading across the cut.
 
 The lower quadrant has ``D-(a, b) = a*b*B_00 + a*b^2*B_01 + a^2*B_m1m1 +
 b^2*B_11``.  Writing ``fp, fm`` for the two roots of ``s*x^2 +
@@ -39,7 +42,6 @@ argument-principle winding number over the disk boundary.  Violations raise
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -50,13 +52,11 @@ from .errors import DegenerateEigenvector, DegenerateQuadratic, RootCountMismatc
 from .model import ModelParams, RateMatrices, build_rate_matrices
 
 __all__ = [
-    "Side",
     "BranchedRoot",
     "det_pos",
     "det_neg",
     "branch_value_pos",
     "betas_pos",
-    "alphas_pos",
     "partner_alpha_pos",
     "beta_neg",
     "alpha_neg",
@@ -77,18 +77,12 @@ DISTINCT_ATOL = 1e-8
 CONTOUR_POINTS = 2048
 
 
-class Side(enum.Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-
-
 @dataclass(frozen=True)
 class BranchedRoot:
     """One in-disk kernel root with its branch label."""
 
     value: complex
     branch: int
-    side: Side
 
 
 def _ab(p: ModelParams) -> tuple[float, float]:
@@ -282,25 +276,6 @@ def _branch_residual_z(
     return r, dr, scale
 
 
-def _polish_branch_alpha(
-    alpha: complex, beta: complex, u: complex, p: ModelParams
-) -> complex:
-    """Newton steps on the branch residual, in the alpha unknown."""
-    a, b = _ab(p)
-    s = p.s
-    rhs = u * principal_root(beta, s)
-    for _ in range(8):
-        r = a / s - (b / (alpha * s)) * beta - (alpha / s) / beta - rhs
-        dr = (b / s) * beta / alpha**2 - 1 / (beta * s)
-        step = r / dr
-        if not np.isfinite(step):
-            break
-        alpha = alpha - step
-        if abs(step) < 1e-16 * abs(alpha):
-            break
-    return alpha
-
-
 def _branch_newton_z(
     starts: list[complex], sigma: complex, p: ModelParams
 ) -> complex | None:
@@ -371,56 +346,8 @@ def betas_pos(alpha: complex, p: ModelParams) -> list[BranchedRoot]:
         scale = _det_pos_scale(alpha, beta, p)
         if scale > 0 and abs(det_pos(alpha, beta, p)) > ROOT_RTOL * scale:
             raise RootCountMismatch("root residual exceeds tolerance")
-        out.append(BranchedRoot(value=complex(beta), branch=branch, side=Side.POSITIVE))
+        out.append(BranchedRoot(value=complex(beta), branch=branch))
     _check_distinct(np.array([r.value for r in out]), abs(alpha), s)
-    return out
-
-
-def alphas_pos(beta: complex, p: ModelParams) -> list[BranchedRoot]:
-    """The s roots of the positive kernel inside ``|alpha| < |beta|``.
-
-    For fixed beta each branch equation is an exact quadratic in alpha,
-    ``alpha^2 - alpha*beta*(a - s*u_i*beta^(1/s)) + beta^2*(1+s)*rho = 0``,
-    with exactly one root inside the disk; no iteration is needed beyond the
-    stable quadratic formula.
-    """
-    if not 0 < abs(beta) < 1:
-        raise RootCountMismatch(f"need 0 < |beta| < 1, got |beta| = {abs(beta)}")
-    a, b = _ab(p)
-    s = p.s
-    beta = complex(beta)
-    # determinant in z = alpha/beta:  (a*z - z^2 - b)^s - beta*s^s*z^s
-    coeffs = npoly.polypow(np.array([-b, a, -1.0], dtype=complex), s)
-    coeffs[s] -= beta * s**s
-    if winding_count(coeffs, 1.0) != s:
-        raise RootCountMismatch(
-            f"positive kernel does not have exactly {s} roots inside the disk"
-        )
-    broot = principal_root(beta, s)
-    out = []
-    for branch, u in enumerate(roots_of_unity(s), start=1):
-        lin = -beta * (a - s * u * broot)
-        const = beta * beta * b
-        disc = np.sqrt(lin * lin - 4 * const)
-        big = (-lin + disc) / 2
-        if abs(big) < abs(-lin - disc) / 2:
-            big = (-lin - disc) / 2
-        small = const / big
-        inside = [z for z in (big, small) if abs(z) < abs(beta)]
-        if len(inside) != 1:
-            raise RootCountMismatch(
-                f"branch {branch} quadratic has {len(inside)} in-disk roots"
-            )
-        alpha = _polish_branch_alpha(inside[0], beta, u, p)
-        if abs(alpha) >= abs(beta):
-            raise RootCountMismatch(f"polished root {alpha} escaped the disk")
-        scale = _det_pos_scale(alpha, beta, p)
-        if scale > 0 and abs(det_pos(alpha, beta, p)) > ROOT_RTOL * scale:
-            raise RootCountMismatch("root residual exceeds tolerance")
-        out.append(
-            BranchedRoot(value=complex(alpha), branch=branch, side=Side.POSITIVE)
-        )
-    _check_distinct(np.array([r.value for r in out]), abs(beta), s)
     return out
 
 

@@ -14,9 +14,12 @@ into ten ``s x s`` blocks: ``A_{x,y}`` for the upper quadrant (``n > 0``) and
 ``B_{x,y}`` for the lower (``n < 0``), with ``(x, y)`` the step in ``(m, n)``.
 
 This module owns parameter validation, the bijection between ``(q1, q2)`` and
-``(m, n, r)``, construction of the rate blocks, and residual evaluation of
-every family of balance equations (used throughout the package to certify
-solutions).
+``(m, n, r)``, construction of the rate blocks, and the balance equations.
+Those are one table: ``FAMILY_OF`` maps ``(m == 0, clip(n, -2, 2))`` to one
+of ten families, and ``STENCILS`` maps each family to its relative
+``(dm, dn, block)`` entries.  :func:`equation_stencil` and
+:func:`balance_residual` read one state's equation from it; the solver reads
+whole families from it to check every state of a triangle at once.
 """
 
 from __future__ import annotations
@@ -37,7 +40,11 @@ __all__ = [
     "to_internal",
     "from_internal",
     "build_rate_matrices",
+    "FAMILY_OF",
+    "STENCILS",
     "equation_family",
+    "family_stencil",
+    "equation_stencil",
     "balance_residual",
 ]
 
@@ -186,36 +193,54 @@ def build_rate_matrices(p: ModelParams) -> RateMatrices:
     return rm
 
 
-# The ten balance-equation families, keyed by the (m, n) signature.  Each
-# state (m, n) is governed by exactly one family; the selector below is total
-# on m >= 0 and raises on anything else.
+# The ten balance-equation families.  A state's family depends only on
+# ``(m == 0, clip(n, -2, 2))``; its equation is a fixed stencil of relative
+# ``(dm, dn, block)`` entries, the state's own block (with the outflow
+# diagonal) first.  ``I`` and ``C`` in a block name add the identity and the
+# corner ``s * e_0 e_0^T`` that the ``m = 0`` boundary contributes.
 
-_FAMILIES = ("I+", "I-", "H+", "H-", "H", "V+", "V-", "O+", "O-", "O0")
+FAMILY_OF = {
+    (False, 2): "I+", (False, 1): "H+", (False, 0): "H", (False, -1): "H-",
+    (False, -2): "I-", (True, 2): "V+", (True, 1): "O+", (True, 0): "O0",
+    (True, -1): "O-", (True, -2): "V-",
+}
+
+STENCILS = {
+    "I+": ((0, 0, "A_00"), (-1, 1, "A_1m1"), (0, 1, "A_0m1"), (1, -1, "A_m11")),
+    "I-": ((0, 0, "B_00"), (-1, -1, "B_11"), (0, -1, "B_01"), (1, 1, "B_m1m1")),
+    "H+": ((0, 0, "A_00"), (-1, 1, "A_1m1"), (0, 1, "A_0m1"), (1, -1, "A_m11"),
+           (0, -1, "A_01")),
+    "H-": ((0, 0, "B_00"), (-1, -1, "B_11"), (0, -1, "B_01"), (1, 1, "B_m1m1"),
+           (0, 1, "B_0m1")),
+    "H": ((0, 0, "B_00"), (-1, 1, "A_1m1"), (-1, -1, "B_11"), (0, 1, "A_0m1"),
+          (0, -1, "B_01")),
+    "V+": ((0, 0, "A_00+I"), (0, 1, "A_0m1"), (1, -1, "A_m11")),
+    "V-": ((0, 0, "B_00+C"), (0, -1, "B_01"), (1, 1, "B_m1m1")),
+    "O+": ((0, 0, "A_00+I"), (0, 1, "A_0m1"), (1, -1, "A_m11"), (0, -1, "A_01")),
+    "O-": ((0, 0, "B_00+C"), (0, -1, "B_01"), (1, 1, "B_m1m1"), (0, 1, "B_0m1")),
+    "O0": ((0, 0, "B_00+I+C"), (0, 1, "A_0m1"), (0, -1, "B_01")),
+}
 
 
 def equation_family(m: int, n: int) -> str:
     """Name of the balance-equation family governing state ``(m, n)``."""
     if m < 0:
         raise InvalidParam(f"state ({m}, {n}) outside the half-plane")
-    if m >= 1:
-        if n >= 2:
-            return "I+"
-        if n == 1:
-            return "H+"
-        if n == 0:
-            return "H"
-        if n == -1:
-            return "H-"
-        return "I-"
-    if n >= 2:
-        return "V+"
-    if n == 1:
-        return "O+"
-    if n == 0:
-        return "O0"
-    if n == -1:
-        return "O-"
-    return "V-"
+    return FAMILY_OF[(bool(m == 0), int(max(-2, min(2, n))))]
+
+
+def family_stencil(
+    rm: RateMatrices, s: int, fam: str
+) -> list[tuple[int, int, np.ndarray]]:
+    """Stencil of family ``fam`` as ``[(dm, dn, coefficient block), ...]``."""
+    out = []
+    for dm, dn, name in STENCILS[fam]:
+        base, *extras = name.split("+")
+        block = getattr(rm, base)
+        for extra in extras:
+            block = block + (np.eye(s) if extra == "I" else s * _unit_matrix(s, 0, 0))
+        out.append((dm, dn, block))
+    return out
 
 
 def equation_stencil(
@@ -226,78 +251,9 @@ def equation_stencil(
     The equation reads ``sum_k block_k @ p(m_k, n_k) = 0``; the first entry is
     always the state's own block (containing the outflow diagonal).
     """
-    fam = equation_family(m, n)
-    eye = np.eye(s)
-    corner = s * _unit_matrix(s, 0, 0)
-    if fam == "I+":
-        return [
-            (m, n, rm.A_00),
-            (m - 1, n + 1, rm.A_1m1),
-            (m, n + 1, rm.A_0m1),
-            (m + 1, n - 1, rm.A_m11),
-        ]
-    if fam == "I-":
-        return [
-            (m, n, rm.B_00),
-            (m - 1, n - 1, rm.B_11),
-            (m, n - 1, rm.B_01),
-            (m + 1, n + 1, rm.B_m1m1),
-        ]
-    if fam == "H+":
-        return [
-            (m, 1, rm.A_00),
-            (m - 1, 2, rm.A_1m1),
-            (m, 2, rm.A_0m1),
-            (m + 1, 0, rm.A_m11),
-            (m, 0, rm.A_01),
-        ]
-    if fam == "H-":
-        return [
-            (m, -1, rm.B_00),
-            (m - 1, -2, rm.B_11),
-            (m, -2, rm.B_01),
-            (m + 1, 0, rm.B_m1m1),
-            (m, 0, rm.B_0m1),
-        ]
-    if fam == "H":
-        return [
-            (m, 0, rm.B_00),
-            (m - 1, 1, rm.A_1m1),
-            (m - 1, -1, rm.B_11),
-            (m, 1, rm.A_0m1),
-            (m, -1, rm.B_01),
-        ]
-    if fam == "V+":
-        return [
-            (0, n, rm.A_00 + eye),
-            (0, n + 1, rm.A_0m1),
-            (1, n - 1, rm.A_m11),
-        ]
-    if fam == "V-":
-        return [
-            (0, n, rm.B_00 + corner),
-            (0, n - 1, rm.B_01),
-            (1, n + 1, rm.B_m1m1),
-        ]
-    if fam == "O+":
-        return [
-            (0, 1, rm.A_00 + eye),
-            (0, 2, rm.A_0m1),
-            (1, 0, rm.A_m11),
-            (0, 0, rm.A_01),
-        ]
-    if fam == "O-":
-        return [
-            (0, -1, rm.B_00 + corner),
-            (0, -2, rm.B_01),
-            (1, 0, rm.B_m1m1),
-            (0, 0, rm.B_0m1),
-        ]
-    # origin (0, 0)
     return [
-        (0, 0, rm.B_00 + eye + corner),
-        (0, 1, rm.A_0m1),
-        (0, -1, rm.B_01),
+        (m + dm, n + dn, block)
+        for dm, dn, block in family_stencil(rm, s, equation_family(m, n))
     ]
 
 

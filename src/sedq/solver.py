@@ -13,14 +13,19 @@ triangles ``T_x = {(m, n): m + |n| <= x}``:
    boundary data,
 5. normalize over ``T_K``.
 
-Series evaluation is incremental: pass ``L`` adds exactly one block of terms
-(a vertical level for odd ``L``, a horizontal level for even ``L``), so the
-per-state accuracy loop costs one block per pass.  States on the ``n = 0``
-axis receive nothing from vertical passes; the accuracy loop only tests
-passes that change the value and stops once two of them in a row are quiet.
-The L-map reported by the CLI instead measures each truncation against the
-converged series value (:func:`accuracy_passes`), whose level sets organize
-by ``m + |n|``.
+The distribution is one ``(states, s)`` array: the series states of
+``T_K - T_M`` in triangle order, then ``T_M``.  All steps but the per-state
+assembly of the small ``T_M`` system work on whole arrays of states.
+Series evaluation is incremental: pass ``L`` adds exactly one block of
+terms (a vertical level for odd ``L``, a horizontal level for even ``L``) to
+every state still active, and a state drops out once it stops
+(:func:`series_values`).  States on the ``n = 0`` axis receive nothing from
+vertical passes; the stopping rule only tests passes that change the value
+and stops once two of them in a row are quiet.
+The residual diagnostic sums each balance-equation family's stencil over
+all of its states at once.  The L-map reported by the CLI instead measures
+each truncation against the converged series value
+(:func:`accuracy_passes`), whose level sets organize by ``m + |n|``.
 """
 
 from __future__ import annotations
@@ -43,12 +48,13 @@ from .errors import (
     SingularSystem,
 )
 from .model import (
+    FAMILY_OF,
     InternalState,
     ModelParams,
     QueueState,
-    balance_residual,
     build_rate_matrices,
     equation_stencil,
+    family_stencil,
     from_internal,
     to_internal,
 )
@@ -58,7 +64,7 @@ __all__ = [
     "EquilibriumSolution",
     "triangle_states",
     "eval_series",
-    "adaptive_L",
+    "series_values",
     "accuracy_passes",
     "boundary_solve",
     "normalize",
@@ -96,7 +102,11 @@ class SolverConfig:
 
 @dataclass
 class EquilibriumSolution:
-    """Normalized distribution over ``T_K`` plus the tree behind it."""
+    """Normalized distribution over ``T_K`` plus the tree behind it.
+
+    ``probs`` maps each state to its row of the solver's ``(states, s)``
+    array, series states first.
+    """
 
     params: ModelParams
     probs: dict[tuple[int, int], np.ndarray]
@@ -108,109 +118,119 @@ class EquilibriumSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _triangle(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, n)`` index arrays of ``T_K``, in :func:`triangle_states` order."""
+    m = np.repeat(np.arange(K + 1), 2 * (K - np.arange(K + 1)) + 1)
+    n = np.arange(len(m)) - np.searchsorted(m, m) - (K - m)
+    return m, n
+
+
 def triangle_states(K: int) -> Iterator[tuple[int, int]]:
     """All ``(m, n)`` with ``m >= 0`` and ``m + |n| <= K``, sorted."""
-    for m in range(K + 1):
-        for n in range(-(K - m), K - m + 1):
-            yield (m, n)
+    m, n = _triangle(K)
+    return zip(m.tolist(), n.tolist())
 
 
-def _pass_block(
-    tree: TermTree, m: int, n: int, pass_k: int
-) -> np.ndarray | None:
-    """Contribution of pass ``pass_k`` to state ``(m, n)``.
+def _pass_value(tree: TermTree, m: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
+    """Terms of pass ``k`` summed at each state ``(m[i], n[i])``.
 
-    Returns ``None`` when the pass cannot touch the state (vertical passes
-    never feed the ``n = 0`` axis).
+    Pass 0 and even passes add a horizontal level ``k/2``, whose h-vectors
+    feed the ``n = 0`` axis; odd passes add a vertical level ``(k+1)/2``,
+    which never touches the axis (its rows stay zero).
     """
-    if pass_k % 2 == 1:  # vertical pass: tilde level (k+1)/2
-        if n == 0:
-            return None
-        levels = tree.tilde_pos if n > 0 else tree.tilde_neg
-    else:  # horizontal pass (or the initial triple): hat level k/2
-        levels = tree.h_vecs if n == 0 else tree.hat_pos if n > 0 else tree.hat_neg
-    return levels[(pass_k + 1) // 2].value(m, n)
+    kinds = ("tilde_pos", "tilde_neg") if k % 2 else ("hat_pos", "hat_neg", "h_vecs")
+    out = np.zeros((len(m), tree.params.s), dtype=complex)
+    for sign, kind in zip((1, -1, 0), kinds):
+        rows = np.sign(n) == sign
+        if rows.any():
+            out[rows] = getattr(tree, kind)[(k + 1) // 2].value(m[rows], n[rows])
+    return out
 
 
-def eval_series(tree: TermTree, m: int, n: int, L: int) -> np.ndarray:
-    """Series value at ``(m, n)`` truncated after ``L`` repair passes."""
-    if m < 0:
-        raise InvalidParam(f"m must be nonnegative, got {m}")
+def eval_series(tree: TermTree, m, n, L: int) -> np.ndarray:
+    """Series values at states ``(m, n)`` truncated after ``L`` repair passes.
+
+    ``m`` and ``n`` are index arrays (result shape ``(k, s)``) or ints (result
+    shape ``(s,)``).
+    """
+    ms, ns = np.atleast_1d(m), np.atleast_1d(n)
+    if np.any(ms < 0):
+        raise InvalidParam(f"m must be nonnegative, got {ms.min()}")
     if L > tree.passes:
         raise DepthExceeded(f"pass {L} requested but only {tree.passes} built")
-    total = np.zeros(tree.params.s, dtype=complex)
-    for k in range(L + 1):
-        block = _pass_block(tree, m, n, k)
-        if block is not None:
-            total += block
-    return total
+    total = sum(_pass_value(tree, ms, ns, k) for k in range(L + 1))
+    return total if np.ndim(m) else total[0]
 
 
-def _rel_gap(new: np.ndarray, old: np.ndarray) -> float:
-    gap = 0.0
-    for a, b in zip(new, old):
-        diff = abs(a - b)
-        if diff < TINY and abs(b) < TINY:
-            continue
-        if abs(b) < TINY:
-            return math.inf
-        gap = max(gap, diff / abs(b))
-    return gap
+def _rel_gap(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Per row, ``max_r |new(r) - old(r)| / |old(r)|``.
 
-
-def adaptive_L(
-    tree: TermTree,
-    m: int,
-    n: int,
-    eps: float,
-    L_max: int,
-) -> tuple[np.ndarray, int]:
-    """Smallest pass count whose relative update beats ``eps``.
-
-    The relative update of pass ``L`` is ``max_r |p_L(r) - p_{L-1}(r)| /
-    |p_{L-1}(r)|``.  Vertical and horizontal increments alternate in size, so
-    passes that cannot touch the state are skipped and the loop stops only
-    once the gaps of the last *two* value-changing passes are both below
-    ``eps``.  Grows the tree on demand and returns ``(p_L, L)``.
+    An entry whose change and ``old`` are both below ``TINY`` does not
+    count; a change on a tiny ``old`` gives ``inf``.
     """
-    tree.ensure_passes(min(1, L_max))
-    cur = _pass_block(tree, m, n, 0)
-    last_gap = prev_gap = math.inf
+    diff, base = np.abs(new - old), np.abs(old)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(base < TINY, np.where(diff < TINY, 0.0, np.inf), diff / base)
+    return rel.max(axis=1)
+
+
+def series_values(
+    tree: TermTree, m: np.ndarray, n: np.ndarray, eps: float, L_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Series values at states ``(m[i], n[i])`` and the pass count of each.
+
+    A state stops at the smallest pass ``L`` whose relative update
+    ``max_r |p_L(r) - p_{L-1}(r)| / |p_{L-1}(r)|`` beats ``eps``.  Vertical
+    and horizontal increments alternate in size, so passes that cannot touch
+    the state are skipped and it stops only once the gaps of its last *two*
+    value-changing passes are both below ``eps``.  Each pass is added to the
+    states still active (``L == 0``); the tree grows on demand.  Returns
+    ``(p, L)`` with ``p`` of shape ``(k, s)``.
+    """
+    m, n = np.asarray(m), np.asarray(n)
+    val = _pass_value(tree, m, n, 0)
+    last, prev = np.full((2, len(m)), math.inf)
+    L = np.zeros(len(m), dtype=int)
     for k in range(1, L_max + 1):
+        if np.all(L > 0):
+            break
         tree.ensure_passes(k)
-        delta = _pass_block(tree, m, n, k)
-        if delta is None:
-            continue
-        new = cur + delta
-        prev_gap, last_gap = last_gap, _rel_gap(new, cur)
-        cur = new
-        if last_gap < eps and prev_gap < eps:
-            return cur, k
-    raise NoConvergenceWithinLmax(
-        f"state ({m}, {n}): relative gap {last_gap:.3e} after {L_max} passes"
-    )
+        rows = np.flatnonzero((L == 0) & ((k % 2 == 0) | (n != 0)))
+        old = val[rows]
+        val[rows] = new = old + _pass_value(tree, m[rows], n[rows], k)
+        prev[rows], last[rows] = last[rows], _rel_gap(new, old)
+        L[(L == 0) & (last < eps) & (prev < eps)] = k
+    if np.any(L == 0):
+        i = np.argmax(L == 0)
+        raise NoConvergenceWithinLmax(
+            f"state ({m[i]}, {n[i]}): relative gap {last[i]:.3e} after {L_max} passes"
+        )
+    return val, L
 
 
-def accuracy_passes(tree: TermTree, m: int, n: int, eps: float, L_max: int) -> int:
+def accuracy_passes(
+    tree: TermTree, m: np.ndarray, n: np.ndarray, eps: float, L_max: int
+) -> np.ndarray:
     """Minimal pass count already within ``eps`` of the converged value.
 
-    The reference is the series ``REF_EXTRA`` passes beyond ``L_max``; the
-    result is capped at ``L_max`` when even that truncation misses ``eps``
-    (near the origin the series converges slowly or not at all, and the cap
-    is what a depth-capped computation observes there).  This converged-
-    reference measure is what the L-map command reports: unlike the
-    consecutive-pass gap, its level sets organize by ``m + |n|``.
+    One count per state ``(m[i], n[i])``.  The reference is the series
+    ``REF_EXTRA`` passes beyond ``L_max``; the result is capped at ``L_max``
+    when even that truncation misses ``eps`` (near the origin the series
+    converges slowly or not at all, and the cap is what a depth-capped
+    computation observes there).  This converged-reference measure is what
+    the L-map command reports: unlike the consecutive-pass gap, its level
+    sets organize by ``m + |n|``.
     """
+    m, n = np.atleast_1d(m), np.atleast_1d(n)
     tree.ensure_passes(L_max + REF_EXTRA)
     ref = eval_series(tree, m, n, L_max + REF_EXTRA)
-    cur = _pass_block(tree, m, n, 0)
-    for k in range(1, L_max + 1):
-        delta = _pass_block(tree, m, n, k)
-        if delta is not None:
-            cur = cur + delta
-        if _rel_gap(cur, ref) < eps:
-            return k
-    return L_max
+    cur = _pass_value(tree, m, n, 0)
+    L = np.full(len(m), L_max)
+    for k in range(1, L_max):
+        cur += _pass_value(tree, m, n, k)
+        # a state still at L_max has not come within eps yet
+        L[(L == L_max) & (_rel_gap(cur, ref) < eps)] = k
+    return L
 
 
 def boundary_solve(
@@ -251,49 +271,54 @@ def boundary_solve(
     return {st: x[s * pos[st] : s * (pos[st] + 1)] for st in states}
 
 
-def normalize(
-    vals: dict[tuple[int, int], np.ndarray],
-) -> tuple[dict[tuple[int, int], np.ndarray], float, int]:
-    """Scale ``vals`` to total mass one.
+def normalize(vals: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Scale ``vals`` (one row per state) to total mass one.
 
     Entries in ``(-1e-12, 0)`` are numerical dust and are clipped to zero
-    (their count is returned); anything more negative is an error.  Returns
+    (their count is returned); anything more negative is an error.  The
+    total adds the row sums one after another in row order.  Returns
     ``(probabilities, C, clipped)`` with ``C`` the applied factor.
     """
-    clipped = 0
-    cleaned: dict[tuple[int, int], np.ndarray] = {}
-    for st, vec in vals.items():
-        vec = np.real(np.asarray(vec)).astype(float)
-        if np.any(vec < NEGATIVE_DUST):
-            raise InvalidParam(
-                f"state {st} carries negative mass {vec.min():.3e}"
-            )
-        neg = vec < 0
-        clipped += int(np.count_nonzero(neg))
-        if np.any(neg):
-            vec = np.where(neg, 0.0, vec)
-        cleaned[st] = vec
-    total = float(sum(v.sum() for v in cleaned.values()))
+    vals = np.real(np.asarray(vals)).astype(float)
+    if np.any(vals < NEGATIVE_DUST):
+        i = np.argmax((vals < NEGATIVE_DUST).any(axis=1))
+        raise InvalidParam(f"row {i} carries negative mass {vals[i].min():.3e}")
+    neg = vals < 0
+    clipped = int(np.count_nonzero(neg))
+    vals[neg] = 0.0
+    total = float(sum(vals.sum(axis=1)))
     if total <= 0:
         raise NonPositiveMass(f"total mass {total} is not positive")
     C = 1.0 / total
-    return {st: v * C for st, v in cleaned.items()}, C, clipped
+    return vals * C, C, clipped
 
 
 def _worst_residual(
-    p: ModelParams, probs: dict[tuple[int, int], np.ndarray], span: int
+    p: ModelParams, m: np.ndarray, n: np.ndarray, probs: np.ndarray, span: int
 ) -> float:
-    """Largest balance residual on ``T_span``, relative to the local scale."""
+    """Largest balance residual on ``T_span``, relative to the local scale.
+
+    Row ``i`` of ``probs`` is state ``(m[i], n[i])``; the rows must cover
+    ``T_{span+1}``, which holds every neighbor.  The residuals are summed
+    one family and one stencil entry at a time, over all states at once.
+    """
     rm = build_rate_matrices(p)
     rate = (1 + p.s) * (p.rho + 1)
+    top = int(np.max(m + np.abs(n)))
+    row = np.full((top + 1, 2 * top + 1), -1)
+    row[m, n + top] = np.arange(len(m))
+    tm, tn = _triangle(span)
     worst = 0.0
-    for m, n in triangle_states(span):
-        res = balance_residual(p, lambda mm, nn: probs[(mm, nn)], (m, n, 0), rm)
-        local = max(
-            float(np.max(np.abs(probs[(mm, nn)])))
-            for mm, nn, _ in equation_stencil(rm, p.s, m, n)
-        )
-        worst = max(worst, float(np.max(np.abs(res))) / (rate * max(local, TINY)))
+    for (at_zero, edge), fam in FAMILY_OF.items():
+        here = ((tm == 0) == at_zero) & (np.clip(tn, -2, 2) == edge)
+        fm, fn = tm[here], tn[here]
+        res = local = 0.0
+        for dm, dn, block in family_stencil(rm, p.s, fam):
+            vec = probs[row[fm + dm, fn + dn + top]]
+            res = res + np.matmul(block, vec[:, :, None])[:, :, 0]
+            local = np.maximum(local, np.abs(vec).max(axis=1))
+        rel = np.abs(res).max(axis=1) / (rate * np.maximum(local, TINY))
+        worst = max(worst, float(rel.max(initial=0.0)))
     return worst
 
 
@@ -308,36 +333,36 @@ def solve(p: ModelParams, cfg: SolverConfig | None = None) -> EquilibriumSolutio
     if not M < K:
         raise InvalidParam(f"K = {K} must exceed M = {M}")
 
+    # rows: the series states of T_K - T_M, then T_M, each in triangle order
+    m, n = _triangle(K)
+    order = np.argsort(m + np.abs(n) <= M, kind="stable")
+    m, n = m[order], n[order]
+    cut = int(np.count_nonzero(m + np.abs(n) > M))
+    states = list(zip(m.tolist(), n.tolist()))
+
     tree = TermTree(p)
-    vals: dict[tuple[int, int], np.ndarray] = {}
-    L_used: dict[tuple[int, int], int] = {}
-    max_rel_imag = 0.0
-    for m, n in triangle_states(K):
-        if m + abs(n) <= M:
-            continue
-        vec, L = adaptive_L(tree, m, n, cfg.eps, cfg.L_max)
-        scale = float(np.max(np.abs(vec)))
-        if scale > 0:
-            max_rel_imag = max(max_rel_imag, float(np.max(np.abs(vec.imag))) / scale)
-        vals[(m, n)] = vec.real
-        L_used[(m, n)] = L
+    series, L = series_values(tree, m[:cut], n[:cut], cfg.eps, cfg.L_max)
+    scale = np.abs(series).max(axis=1)
+    live = scale > 0
+    rel_imag = np.abs(series.imag).max(axis=1)[live] / scale[live]
+    inner = boundary_solve(p, dict(zip(states[:cut], series.real)), M)
+    probs, C, clipped = normalize(
+        np.concatenate([series.real, list(inner.values())])
+    )
 
-    vals.update(boundary_solve(p, vals, M))
-    probs, C, clipped = normalize(vals)
-
-    ring = sum(probs[st].sum() for st in probs if st[0] + abs(st[1]) == K)
+    ring = sum(probs[m + np.abs(n) == K].sum(axis=1))
     r = p.rho ** (1 + p.s)
     diagnostics = {
-        "L_used": L_used,
-        "max_rel_imag": max_rel_imag,
+        "L_used": dict(zip(states[:cut], L.tolist())),
+        "max_rel_imag": float(rel_imag.max(initial=0.0)),
         "clipped": clipped,
         "pruned_terms": tree.pruned,
         "tail_mass_estimate": float(ring * r / (1 - r)),
         "tree_passes": tree.passes,
-        "max_rel_residual": _worst_residual(p, probs, K - 1),
+        "max_rel_residual": _worst_residual(p, m, n, probs, K - 1),
     }
     return EquilibriumSolution(
-        params=p, probs=probs, C=C, tree=tree, N=N, M=M, K=K,
+        params=p, probs=dict(zip(states, probs)), C=C, tree=tree, N=N, M=M, K=K,
         diagnostics=diagnostics,
     )
 

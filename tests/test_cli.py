@@ -249,3 +249,38 @@ class TestConfig:
         )
         assert code == 0
         assert "# rho: 0.59999999999999998" in out.read_text()
+
+
+MODEL = ["--s", "2", "--rho", "0.5", "--q", "0.4"]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["solve"], '{"s": 2, "rho": 0.5, "q": 0.4, "sx": 1}'),
+        (["solve"], '{"s": 2,'),
+        (["solve", "--s", "2"], "[2, 0.5, 0.4]"),
+        (["solve", "--config", "missing.json"], None),
+        (["validate", *MODEL, "--box", "40x"], None),
+        (["validate", *MODEL, "--box", "40x80x2"], None),
+        (["validate", *MODEL, "--window", "-3"], None),
+        (["nindex", "--q", "0.4", "--s-list", "a"], None),
+        (["nindex", "--q", "0.4", "--rho-list", "0.5,x"], None),
+        (["lmap", *MODEL, "--span", "-1"], None),
+    ],
+    ids=[
+        "config-unknown-key", "config-bad-json", "config-not-object",
+        "config-missing-file", "box-one-extent", "box-three-extents",
+        "negative-window", "s-list-not-int", "rho-list-not-float",
+        "negative-span",
+    ],
+)
+def test_bad_input_exits_two(argv, config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.json").write_text(config)
+        argv = [*argv, "--config", "run.json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "invalid input" in err
+    assert out == ""

@@ -1,7 +1,8 @@
-"""Golden outputs: the ``solve`` CSV and the ``--dump-tree`` CSV, byte for byte.
+"""Golden outputs: the ``solve``, ``--dump-tree`` and ``lmap`` CSVs, byte for byte.
 
-Each case runs ``sedq solve ... --out F --dump-tree T`` and compares the
-sha256 of both files with a pinned digest.  A refactor that changes no
+Each solve case runs ``sedq solve ... --out F --dump-tree T`` and compares
+the sha256 of both files with a pinned digest; the lmap case does the same
+for its one file.  A refactor that changes no
 arithmetic must keep them.  The digests hold for the numpy / LAPACK build
 they were recorded with (numpy 2.4.6 linking scipy-openblas 0.3.31, CPython
 3.11, x86-64); another numpy, BLAS or LAPACK build may move the last digits
@@ -33,7 +34,25 @@ CASES = {
         "fcb35dc4a07137339c943ff555f2fb4f53d1a1d500d677c0497af0cfa026015c",
         "c44bcbd83f6638289f738583ab3d4d2d4be972ba8d1e55b71cb901189fe3410a",
     ),
+    # heavy traffic: 14641 states, most of them from the series
+    "s2_rho0.95_k120": (
+        ["--s", "2", "--rho", "0.95", "--q", "0.4", "--k", "120"],
+        "85ffb80168f3d8cced810fdf04b495d19a71398979f18d1d9b1f74398e2a55a7",
+        "9d5c31d6ca8904a435cc83f4fdbacf23033af3b9e5c198cf170d02bc9c8dcb05",
+    ),
+    # s >= 8 rows: row sums take numpy's multi-accumulator path
+    "s8_rho0.9": (
+        ["--s", "8", "--rho", "0.9", "--q", "0.4"],
+        "d01741663dd69a2056cbf1276a965dc2b678d892b9ac09ddae67c48871ac1f94",
+        "3de97427fc1b6ae5050fcb02bd9d3d39ebcdc099368959d123d140f13de00678",
+    ),
 }
+
+LMAP_ARGS = [
+    "--s", "4", "--rho", "0.8", "--q", "0.4", "--eps", "1e-4", "--lmax", "7",
+    "--span", "12",
+]
+LMAP_DIGEST = "87fa55f2eae6a4081f6e4567bf298fdc4579ea14a3c96e6223cfb034fc6e4fe4"
 
 
 def _sha256(path) -> str:
@@ -47,3 +66,9 @@ def test_solve_and_tree_dump_are_byte_identical(name, tmp_path):
     assert main(["solve", *args, "--out", str(out), "--dump-tree", str(tree)]) == 0
     assert _sha256(out) == solve_digest
     assert _sha256(tree) == tree_digest
+
+
+def test_lmap_is_byte_identical(tmp_path):
+    out = tmp_path / "lmap.csv"
+    assert main(["lmap", *LMAP_ARGS, "--out", str(out)]) == 0
+    assert _sha256(out) == LMAP_DIGEST

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from sedq.errors import DegenerateEigenvector, RootCountMismatch
 from sedq.kernel import (
-    Side,
     alpha_neg,
-    alphas_pos,
     beta_neg,
     betas_pos,
     branch_value_pos,
@@ -87,7 +85,6 @@ class TestBetasPos:
         assert len(roots) == 2
         assert sorted(r.branch for r in roots) == [1, 2]
         assert all(abs(r.value) < 0.125 for r in roots)
-        assert all(r.side is Side.POSITIVE for r in roots)
 
     def test_s1_quadratic_oracle(self):
         # for s = 1 the determinant is (b+alpha)*beta^2 - a*alpha*beta + alpha^2;
@@ -125,26 +122,6 @@ class TestBetasPos:
     def test_rejects_alpha_outside_unit_disk(self):
         with pytest.raises(RootCountMismatch):
             betas_pos(1.2, P21)
-
-
-class TestAlphasPos:
-    def test_mirror_counts(self):
-        beta = betas_pos(0.125, P21)[0].value
-        roots = alphas_pos(beta, P21)
-        assert len(roots) == 2
-        assert all(abs(r.value) < abs(beta) for r in roots)
-
-    def test_branch_residuals(self):
-        beta = 0.2 - 0.05j
-        for root in alphas_pos(beta, P21):
-            assert abs(branch_value_pos(root.value, beta, root.branch, P21)) < 1e-12
-
-    def test_s1_quadratic_oracle(self):
-        # branch quadratic at beta = 0.1: alpha^2 - 0.29*alpha + 0.01,
-        # roots {0.25, 0.04}; the in-disk one is 0.04
-        roots = alphas_pos(0.1, P15)
-        assert len(roots) == 1
-        assert roots[0].value == pytest.approx(0.04, rel=1e-12)
 
 
 class TestPartnerAlpha:

@@ -14,12 +14,12 @@ from sedq.model import validate_params
 from sedq.solver import (
     SolverConfig,
     accuracy_passes,
-    adaptive_L,
     boundary_solve,
     eval_series,
     heatmap,
     metrics,
     normalize,
+    series_values,
     solution_records,
     solve,
     triangle_states,
@@ -81,15 +81,15 @@ class TestEvalSeries:
 class TestAdaptiveL:
     def test_doubling_eps_never_increases_L(self):
         tree = TermTree(P21)
-        for (m, n) in [(4, 1), (2, -3), (5, 0), (1, 2)]:
-            _, L_fine = adaptive_L(tree, m, n, 1e-6, 16)
-            _, L_coarse = adaptive_L(tree, m, n, 2e-6, 16)
-            assert L_coarse <= L_fine
+        m, n = np.array([4, 2, 5, 1]), np.array([1, -3, 0, 2])
+        _, L_fine = series_values(tree, m, n, 1e-6, 16)
+        _, L_coarse = series_values(tree, m, n, 2e-6, 16)
+        assert np.all(L_coarse <= L_fine)
 
     def test_value_matches_eval_series(self):
         tree = TermTree(P21)
-        vec, L = adaptive_L(tree, 3, 2, 1e-8, 16)
-        assert np.allclose(vec, eval_series(tree, 3, 2, L))
+        vec, L = series_values(tree, np.array([3]), np.array([2]), 1e-8, 16)
+        assert np.allclose(vec[0], eval_series(tree, 3, 2, L[0]))
 
     def test_accuracy_passes_monotone_in_eps(self):
         tree = TermTree(P21)
@@ -129,32 +129,31 @@ class TestBoundarySolve:
 
 class TestNormalize:
     def test_already_normalized_is_fixed_point(self):
-        vals = {(0, 0): np.array([0.25, 0.25]), (1, 0): np.array([0.3, 0.2])}
+        vals = np.array([[0.25, 0.25], [0.3, 0.2]])
         probs, C, clipped = normalize(vals)
         assert C == pytest.approx(1.0)
         assert clipped == 0
-        assert np.allclose(probs[(0, 0)], vals[(0, 0)])
+        assert np.allclose(probs[0], vals[0])
 
     def test_scale_invariance(self):
-        vals = {(0, 0): np.array([2.0, 1.0]), (0, 1): np.array([1.0, 0.5])}
+        vals = np.array([[2.0, 1.0], [1.0, 0.5]])
         p1, _, _ = normalize(vals)
-        p2, _, _ = normalize({k: 7 * v for k, v in vals.items()})
-        for k in vals:
-            assert np.allclose(p1[k], p2[k])
+        p2, _, _ = normalize(7 * vals)
+        assert np.allclose(p1, p2)
 
     def test_negative_dust_clipped(self):
-        vals = {(0, 0): np.array([1.0, -1e-13])}
+        vals = np.array([[1.0, -1e-13]])
         probs, _, clipped = normalize(vals)
         assert clipped == 1
-        assert probs[(0, 0)][1] == 0.0
+        assert probs[0][1] == 0.0
 
     def test_large_negative_rejected(self):
         with pytest.raises(InvalidParam):
-            normalize({(0, 0): np.array([1.0, -1e-9])})
+            normalize(np.array([[1.0, -1e-9]]))
 
     def test_zero_mass_rejected(self):
         with pytest.raises(NonPositiveMass):
-            normalize({(0, 0): np.zeros(2)})
+            normalize(np.zeros((1, 2)))
 
 
 class TestSolve:
@@ -180,6 +179,18 @@ class TestSolve:
         prob = lambda m, n: sol21.probs[(m, n)]
         for (m, n) in triangle_states(4):
             assert rel_residual(P21, prob, m, n) < 1e-8
+
+    @pytest.mark.parametrize(
+        "triple", [(2, 0.5, 0.4), (5, 0.9, 0.4), (1, 0.8, 0.0)]
+    )
+    def test_max_rel_residual_is_worst_per_state_residual(self, triple):
+        p = validate_params(*triple)
+        sol = solve(p)
+        prob = lambda m, n: sol.probs[(m, n)]
+        worst = max(
+            rel_residual(p, prob, m, n) for m, n in triangle_states(sol.K - 1)
+        )
+        assert sol.diagnostics["max_rel_residual"] == pytest.approx(worst, rel=1e-6)
 
     def test_m_must_exceed_n_index(self):
         with pytest.raises(InvalidParam):
