@@ -20,28 +20,31 @@ COND_LIMIT = 1e12
 def solve_checked(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """Solve ``mat @ x = rhs`` after equilibration; raise on true singularity.
 
-    A few alternating row/column max-abs passes handle the multi-scale
-    grading (one pass leaves residual skew when a row mixes scales).
+    ``mat`` may be a ``(k, n, n)`` stack with ``rhs`` of shape ``(k, n)``:
+    equilibration, condition check and solve then run on the whole stack,
+    and each system gets the bits it would get alone.  A few alternating
+    row/column max-abs passes handle the multi-scale grading (one pass
+    leaves residual skew when a row mixes scales).
     """
-    mat = np.asarray(mat)
+    scaled = np.asarray(mat)
     rhs = np.asarray(rhs)
-    n = mat.shape[0]
-    row = np.ones(n)
-    col = np.ones(n)
-    scaled = mat
+    row = np.ones(rhs.shape)
+    col = np.ones(rhs.shape)
     for _ in range(3):
-        r = np.max(np.abs(scaled), axis=1)
+        r = np.max(np.abs(scaled), axis=-1)
         if np.any(r == 0):
             raise SingularSystem(f"{what}: zero row")
-        scaled = scaled / r[:, None]
+        scaled = scaled / r[..., :, None]
         row = row * r
-        c = np.max(np.abs(scaled), axis=0)
+        c = np.max(np.abs(scaled), axis=-2)
         if np.any(c == 0):
             raise SingularSystem(f"{what}: zero column")
-        scaled = scaled / c[None, :]
+        scaled = scaled / c[..., None, :]
         col = col * c
-    cond = np.linalg.cond(scaled)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSystem(f"{what}: condition number {cond:.3e} exceeds 1e12")
-    y = np.linalg.solve(scaled, rhs / row)
+    cond = np.atleast_1d(np.linalg.cond(scaled))
+    bad = ~(cond <= COND_LIMIT)  # also catches nan
+    if np.any(bad):
+        worst = cond[bad][0]
+        raise SingularSystem(f"{what}: condition number {worst:.3e} exceeds 1e12")
+    y = np.linalg.solve(scaled, (rhs / row)[..., None])[..., 0]
     return y / col

@@ -22,7 +22,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 from .errors import InvalidParam, SedqError
 from .model import ModelParams, QueueState, to_internal, validate_params
@@ -38,6 +38,9 @@ from .solver import (
 
 FILE_FMT = "{:.17g}"
 CONSOLE_FMT = "{:.6g}"
+FORMATS = ("csv", "json")
+#: JSON value types a ``RunConfig`` annotation admits (a bool is no number)
+JSON_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (type(None),)}
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lmax", type=int, help="cap on repair passes")
     sub.add_argument("--m", type=int, help="inner-triangle size (default N + 2)")
     sub.add_argument("--k", type=int, help="outer-triangle size (default >= 40)")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format")
+    sub.add_argument("--format", choices=FORMATS, help="output format")
     sub.add_argument("--out", help="output path, '-' for stdout")
     sub.add_argument("--config", help="JSON file with the same keys as the flags")
 
@@ -94,6 +97,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         unknown = sorted(set(base) - {f.name for f in fields(RunConfig)})
         if unknown:
             raise InvalidParam(f"unknown --config keys: {', '.join(unknown)}")
+        _check_config_types(base, args.config)
     for key in ("s", "rho", "q", "eps", "lmax", "m", "k", "format", "out"):
         val = getattr(args, key, None)
         if val is not None:
@@ -102,6 +106,24 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if key not in base:
             raise InvalidParam(f"missing required parameter --{key}")
     return RunConfig(**base)
+
+
+def _check_config_types(base: dict, path: str) -> None:
+    """Raise :class:`InvalidParam` for a value that does not fit its field."""
+    hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        if f.name not in base:
+            continue
+        hint = hints[f.name]
+        allowed = [t for kind in get_args(hint) or (hint,) for t in JSON_TYPES[kind]]
+        if type(base[f.name]) not in allowed:
+            raise InvalidParam(
+                f"--config {path}: {f.name} = {base[f.name]!r} is not {f.type}"
+            )
+    if base.get("format", FORMATS[0]) not in FORMATS:
+        raise InvalidParam(
+            f"--config {path}: format must be one of {', '.join(FORMATS)}"
+        )
 
 
 def _numbers(text: str, sep: str, kind, flag: str) -> list:

@@ -24,17 +24,20 @@ The tree stores every level of each kind (``hat_pos``, ``hat_neg``,
 ``tilde_pos``, ``tilde_neg``, ``h_vecs``) as one :class:`Block` of arrays;
 the level and kind of a term are where its block is stored.  An ``n = 0``
 row vector is a block row with ``beta = coeff = 1``, so one formula
-evaluates every block.  The repair steps work one node at a time on
-:class:`Term` rows with Python scalars.  Moduli decrease strictly down the
-tree, so coefficients eventually underflow; terms whose contribution falls
-below 1e-300 are pruned from their level with a counter.
+evaluates every block.  Vertical steps work one node at a time on
+:class:`Term` rows with Python scalars.  A horizontal pass works on the
+level: :func:`horizontal_repair` takes up to :data:`REPAIR_CHUNK` vertical
+terms at once, finds their roots and solves their systems in stacked calls,
+and gives each node the bits it would get alone.  Moduli decrease strictly
+down the tree, so coefficients eventually underflow; terms whose
+contribution falls below 1e-300 are pruned from their level with a counter.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,13 +61,14 @@ __all__ = [
     "initial_solution",
     "vertical_step_pos",
     "vertical_step_neg",
-    "horizontal_step_pos",
-    "horizontal_step_neg",
+    "horizontal_repair",
     "grow_tree",
     "serialize_tree",
 ]
 
 PRUNE_FLOOR = 1e-300
+#: vertical terms per stacked :func:`horizontal_repair` call (bounds memory)
+REPAIR_CHUNK = 64
 #: states per weight matrix in :meth:`Block.value`, which bounds its memory
 VALUE_ROWS = 256
 
@@ -211,40 +215,6 @@ def vertical_step_neg(t: Term, p: ModelParams) -> Term:
     return Term(t.index, alpha1, t.beta, coeff, vec1)
 
 
-def _horizontal_matrix(
-    p: ModelParams, rm: RateMatrices, alpha: complex
-) -> tuple[np.ndarray, list, complex, list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble the (2s+1) x (2s+1) horizontal-repair matrix at ``alpha``.
-
-    Unknown order: ``h(0..s-1), c_1..c_s, c_{s+1}``.  Rows: the s equations of
-    the ``n = 1`` family, the s equations of the ``n = 0`` family, and the
-    single surviving tie-breaking equation of the ``n = -1`` family
-    ``alpha*s*h(0) + (1+s)*rho*q*h(s-1) - alpha*s*c_{s+1} = rhs``.
-    """
-    s = p.s
-    lam = p.arrival_rate
-    roots = betas_pos(alpha, p)
-    bneg = beta_neg(alpha, p)
-    ipos = [eigvec_pos(alpha, r.value, p) for r in roots]
-    ineg = eigvec_neg(alpha, bneg, p)
-    G = rm.A_01 + alpha * rm.A_m11
-    M1 = rm.A_1m1 + alpha * rm.A_0m1
-    M2 = rm.B_11 + alpha * rm.B_01
-
-    n = 2 * s + 1
-    A = np.zeros((n, n), dtype=complex)
-    A[0:s, 0:s] = G
-    for j in range(s):
-        A[0:s, s + j] = -alpha * ipos[j]
-        A[s : 2 * s, s + j] = roots[j].value * (M1 @ ipos[j])
-    A[s : 2 * s, 0:s] = alpha * rm.B_00
-    A[s : 2 * s, 2 * s] = bneg * (M2 @ ineg)
-    A[2 * s, 0] += alpha * s
-    A[2 * s, s - 1] += lam * p.q
-    A[2 * s, 2 * s] += -alpha * s
-    return A, roots, bneg, ipos, ineg, M1, M2
-
-
 def _bundle_from_solution(
     index: int,
     alpha: complex,
@@ -266,59 +236,77 @@ def _bundle_from_solution(
     return Bundle(pos=pos, neg=neg, h=h)
 
 
-def _solve_horizontal(
-    A: np.ndarray, rhs: np.ndarray, alpha: complex, s: int
-) -> np.ndarray:
-    """Solve the repair system under its natural grading.
+def horizontal_repair(
+    terms: Sequence[Term],
+    upper: Sequence[bool],
+    p: ModelParams,
+    rm: RateMatrices | None = None,
+) -> list[Bundle]:
+    """Repair bundles for vertical terms, upper ones where ``upper`` is true.
 
-    In the deep-tree limit the h entries shrink like ``|alpha|^((r+1)/s)``
-    and each equation row carries ``|alpha|^(r/s + 1)`` (``|alpha|`` for the
-    tie row); dividing these out turns the system into a perturbation of the
-    well-conditioned limit system, so the condition check measures genuine
-    rank loss instead of the grading.
+    Each bundle shares its term's alpha with the s + 1 in-disk betas of the
+    two kernels; its coefficients and h-vector solve the ``(2s+1) x (2s+1)``
+    system with unknowns ``h(0..s-1), c_1..c_s, c_{s+1}``.  Rows: the s
+    equations of the ``n = 1`` family, the s of the ``n = 0`` family, and the
+    one surviving tie-breaking equation of the ``n = -1`` family
+    ``alpha*s*h(0) + (1+s)*rho*q*h(s-1) - alpha*s*c_{s+1} = rhs``.  An upper
+    term is a source on the ``n = 1, 0`` rows, a lower one on ``n = 0, -1``.
+
+    The systems are solved under their natural grading: in the deep-tree
+    limit the h entries shrink like ``|alpha|^((r+1)/s)`` and each row
+    carries ``|alpha|^(r/s + 1)`` (``|alpha|`` for the tie row); dividing
+    these out turns each system into a perturbation of the well-conditioned
+    limit system, so the condition check measures genuine rank loss instead
+    of the grading.  All terms share one stacked root and solve call.
     """
-    aa = abs(alpha)
+    if rm is None:
+        rm = build_rate_matrices(p)
+    s = p.s
+    lam = p.arrival_rate
+    n = 2 * s + 1
+    alphas = np.array([t.alpha for t in terms], dtype=complex)
+    roots_of = betas_pos(alphas, p)
+    bneg_of = beta_neg(alphas, p)
+    A = np.zeros((len(terms), n, n), dtype=complex)
+    rhs = np.zeros((len(terms), n), dtype=complex)
+    row_scale = np.empty((len(terms), n))
+    col_scale = np.empty((len(terms), n))
     r = np.arange(s)
-    row_scale = np.concatenate([aa ** (-r / s - 1), aa ** (-r / s - 1), [1 / aa]])
-    col_scale = np.concatenate([aa ** ((r + 1) / s), np.ones(s + 1)])
-    scaled = A * row_scale[:, None] * col_scale[None, :]
-    y = solve_checked(scaled, rhs * row_scale, "horizontal repair system")
-    return y * col_scale
-
-
-def horizontal_step_pos(
-    t: Term, p: ModelParams, rm: RateMatrices | None = None
-) -> Bundle:
-    """Repair bundle for a vertical upper term.
-
-    The new terms share the term's alpha with the s + 1 in-disk betas of the
-    two kernels; coefficients and the h-vector solve the assembled system
-    with source terms on the ``n = 1`` and ``n = 0`` rows.
-    """
-    if rm is None:
-        rm = build_rate_matrices(p)
-    s = p.s
-    A, roots, bneg, ipos, ineg, M1, _ = _horizontal_matrix(p, rm, t.alpha)
-    rhs = np.zeros(2 * s + 1, dtype=complex)
-    rhs[0:s] = t.coeff * t.alpha * t.vec
-    rhs[s : 2 * s] = -t.coeff * t.beta * (M1 @ t.vec)
-    x = _solve_horizontal(A, rhs, t.alpha, s)
-    return _bundle_from_solution(t.index, t.alpha, x, roots, bneg, ipos, ineg, s)
-
-
-def horizontal_step_neg(
-    t: Term, p: ModelParams, rm: RateMatrices | None = None
-) -> Bundle:
-    """Repair bundle for a vertical lower term (sources on ``n = 0, -1`` rows)."""
-    if rm is None:
-        rm = build_rate_matrices(p)
-    s = p.s
-    A, roots, bneg, ipos, ineg, _, M2 = _horizontal_matrix(p, rm, t.alpha)
-    rhs = np.zeros(2 * s + 1, dtype=complex)
-    rhs[s : 2 * s] = -t.coeff * t.beta * (M2 @ t.vec)
-    rhs[2 * s] = t.coeff * t.alpha * s
-    x = _solve_horizontal(A, rhs, t.alpha, s)
-    return _bundle_from_solution(t.index, t.alpha, x, roots, bneg, ipos, ineg, s)
+    modes = []
+    for i, (t, up, roots, bneg) in enumerate(zip(terms, upper, roots_of, bneg_of)):
+        alpha = t.alpha
+        ipos = [eigvec_pos(alpha, root.value, p) for root in roots]
+        ineg = eigvec_neg(alpha, bneg, p)
+        modes.append((ipos, ineg))
+        G = rm.A_01 + alpha * rm.A_m11
+        M1 = rm.A_1m1 + alpha * rm.A_0m1
+        M2 = rm.B_11 + alpha * rm.B_01
+        a = A[i]
+        a[0:s, 0:s] = G
+        for j in range(s):
+            a[0:s, s + j] = -alpha * ipos[j]
+            a[s : 2 * s, s + j] = roots[j].value * (M1 @ ipos[j])
+        a[s : 2 * s, 0:s] = alpha * rm.B_00
+        a[s : 2 * s, 2 * s] = bneg * (M2 @ ineg)
+        a[2 * s, 0] += alpha * s
+        a[2 * s, s - 1] += lam * p.q
+        a[2 * s, 2 * s] += -alpha * s
+        if up:
+            rhs[i, 0:s] = t.coeff * alpha * t.vec
+            rhs[i, s : 2 * s] = -t.coeff * t.beta * (M1 @ t.vec)
+        else:
+            rhs[i, s : 2 * s] = -t.coeff * t.beta * (M2 @ t.vec)
+            rhs[i, 2 * s] = t.coeff * alpha * s
+        aa = abs(alpha)
+        row = aa ** (-r / s - 1)
+        row_scale[i] = np.concatenate([row, row, [1 / aa]])
+        col_scale[i] = np.concatenate([aa ** ((r + 1) / s), np.ones(s + 1)])
+    scaled = A * row_scale[:, :, None] * col_scale[:, None, :]
+    x = solve_checked(scaled, rhs * row_scale, "horizontal repair system") * col_scale
+    return [
+        _bundle_from_solution(t.index, t.alpha, xi, roots, bneg, ipos, ineg, s)
+        for t, xi, roots, bneg, (ipos, ineg) in zip(terms, x, roots_of, bneg_of, modes)
+    ]
 
 
 class TermTree:
@@ -358,6 +346,29 @@ class TermTree:
         except SedqError as exc:
             raise type(exc)(f"level {level}, node {term.index}: {exc}") from exc
 
+    def _repair_level(self, level: int) -> list[Bundle]:
+        """Horizontal bundles for every vertical term of ``level``.
+
+        Upper terms first, then lower, :data:`REPAIR_CHUNK` at a time.  A
+        chunk that fails is re-run one node at a time, so the error names the
+        first failing node.
+        """
+        p = self.params
+        pos, neg = self.tilde_pos[level], self.tilde_neg[level]
+        terms = [*pos, *neg]
+        upper = [True] * len(pos) + [False] * len(neg)
+        bundles: list[Bundle] = []
+        for i in range(0, len(terms), REPAIR_CHUNK):
+            chunk = slice(i, i + REPAIR_CHUNK)
+            try:
+                bundles += horizontal_repair(terms[chunk], upper[chunk], p, self.rm)
+            except SedqError:
+                bundles += [
+                    self._step(_repair_one, level, t, up, p, self.rm)
+                    for t, up in zip(terms[chunk], upper[chunk])
+                ]
+        return bundles
+
     def ensure_passes(self, L: int) -> None:
         """Grow the tree until ``L`` repair passes are complete."""
         p = self.params
@@ -377,13 +388,7 @@ class TermTree:
                 self.tilde_neg.append(self._pruned_block(new_neg))
             else:
                 level = k // 2
-                bundles = [
-                    self._step(horizontal_step_pos, level, t, p, self.rm)
-                    for t in self.tilde_pos[level]
-                ] + [
-                    self._step(horizontal_step_neg, level, t, p, self.rm)
-                    for t in self.tilde_neg[level]
-                ]
+                bundles = self._repair_level(level)
                 self.hat_pos.append(
                     self._pruned_block([t for b in bundles for t in b.pos])
                 )
@@ -402,6 +407,11 @@ class TermTree:
         """Largest |beta| over the horizontal terms of the level."""
         pos, neg = self.hat_pos[level], self.hat_neg[level]
         return float(np.abs(np.concatenate([pos.beta, neg.beta])).max())
+
+
+def _repair_one(t: Term, up: bool, p: ModelParams, rm: RateMatrices) -> Bundle:
+    """One term's bundle: the node-by-node re-run of a failed chunk."""
+    return horizontal_repair([t], [up], p, rm)[0]
 
 
 def grow_tree(p: ModelParams, L: int) -> TermTree:

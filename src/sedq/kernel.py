@@ -38,10 +38,18 @@ a polynomial, take companion-matrix eigenvalues, keep the in-disk roots,
 polish with a few complex Newton steps, and certify the in-disk count with an
 argument-principle winding number over the disk boundary.  Violations raise
 :class:`~sedq.errors.RootCountMismatch` rather than being repaired silently.
+
+:func:`betas_pos` and :func:`beta_neg` also take a 1-D array of alphas, as
+the horizontal repair of a whole tree level does: all counts are certified
+in one evaluation over :data:`CONTOUR` and the companion matrices go to one
+stacked ``eigvals`` call per size.  The Newton polish stays a scalar loop
+per root (numpy array arithmetic may fuse multiply-adds and would move the
+last bits), so a root from a stack equals the root found alone.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -75,6 +83,12 @@ ROOT_RTOL = 1e-10
 DISTINCT_ATOL = 1e-8
 #: points on the certification contour
 CONTOUR_POINTS = 2048
+#: the certification contour: the unit circle, closed (first point repeated)
+CONTOUR = np.exp(1j * np.linspace(0.0, 2 * np.pi, CONTOUR_POINTS + 1))
+#: polynomials per contour evaluation in :func:`winding_count` (bounds memory)
+CONTOUR_ROWS = 4
+#: Newton steps per start in :func:`_branch_newton_z`
+NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -199,30 +213,61 @@ def _trim_leading(coeffs: np.ndarray, min_degree: int) -> np.ndarray:
     return coeffs[:keep]
 
 
-def winding_count(
-    coeffs: np.ndarray, radius: float, n_points: int = CONTOUR_POINTS
-) -> int:
+def winding_count(coeffs: np.ndarray, radius: float) -> int | np.ndarray:
     """Number of polynomial zeros inside ``|z| < radius`` by winding number.
 
-    Trapezoid walk of the argument of ``P`` along the circle; the total phase
-    change divided by ``2*pi`` is the zero count.  Raises
-    :class:`RootCountMismatch` when the integral is too far from an integer
-    or the polynomial nearly vanishes on the contour (root on the boundary).
+    ``coeffs`` is one polynomial or a ``(k, deg+1)`` stack of them; a stack
+    returns one count per row.  Trapezoid walk of the argument of ``P``
+    along :data:`CONTOUR`; the total phase change divided by ``2*pi`` is the
+    zero count.  Raises :class:`RootCountMismatch` when the integral is too
+    far from an integer or the polynomial nearly vanishes on the contour
+    (root on the boundary).
     """
-    theta = np.linspace(0.0, 2 * np.pi, n_points + 1)
-    z = radius * np.exp(1j * theta)
-    w = npoly.polyval(z, np.asarray(coeffs, dtype=complex))
-    mags = np.abs(w)
-    scale = float(np.max(mags))
-    if scale == 0.0 or float(np.min(mags)) < 1e-13 * scale:
-        raise RootCountMismatch("kernel determinant nearly vanishes on the contour")
-    total = float(np.sum(np.angle(w[1:] / w[:-1]))) / (2 * np.pi)
-    count = round(total)
-    if abs(total - count) > 0.25:
-        raise RootCountMismatch(
-            f"winding integral {total:.6f} is not close to an integer"
-        )
-    return count
+    coeffs = np.asarray(coeffs, dtype=complex)
+    rows = np.atleast_2d(coeffs)
+    powers = np.vander(radius * CONTOUR, rows.shape[1], increasing=True).T
+    counts = np.empty(len(rows), dtype=int)
+    for i in range(0, len(rows), CONTOUR_ROWS):
+        w = rows[i : i + CONTOUR_ROWS] @ powers
+        mags = np.abs(w)
+        scale = np.max(mags, axis=1)
+        if np.any(scale == 0.0) or np.any(np.min(mags, axis=1) < 1e-13 * scale):
+            raise RootCountMismatch("kernel determinant nearly vanishes on the contour")
+        steps = np.angle(w[:, 1:] * w[:, :-1].conj())  # arg(w[k+1] / w[k])
+        total = np.sum(steps, axis=1) / (2 * np.pi)
+        count = np.rint(total)
+        off = np.abs(total - count) > 0.25
+        if np.any(off):
+            raise RootCountMismatch(
+                f"winding integral {total[off][0]:.6f} is not close to an integer"
+            )
+        counts[i : i + len(w)] = count
+    return int(counts[0]) if coeffs.ndim == 1 else counts
+
+
+def _companion_roots(polys: list[np.ndarray]) -> list[np.ndarray]:
+    """``npoly.polyroots`` of each polynomial, bit for bit.
+
+    Companion matrices of one size share a single stacked ``eigvals`` call;
+    LAPACK sees each matrix exactly as it would alone.
+    """
+    out: list[np.ndarray | None] = [None] * len(polys)
+    by_size: dict[int, list[int]] = {}
+    for i, c in enumerate(polys):
+        if len(c) < 3 or c[-1] == 0:  # polyroots trims and special-cases these
+            out[i] = npoly.polyroots(c)
+        else:
+            by_size.setdefault(len(c), []).append(i)
+    for size, idx in by_size.items():
+        c = np.array([polys[i] for i in idx])
+        n = size - 1
+        mat = np.zeros((len(idx), n, n), dtype=c.dtype)
+        mat[:, np.arange(1, n), np.arange(n - 1)] = 1
+        mat[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        roots = np.sort(np.linalg.eigvals(mat), axis=-1)
+        for i, r in zip(idx, roots):
+            out[i] = r
+    return out
 
 
 def v_ratio_roots(p: ModelParams) -> tuple[float, float]:
@@ -253,9 +298,9 @@ def _check_distinct(values: np.ndarray, radius: float, s: int) -> None:
 
 
 def _branch_residual_z(
-    z: complex, sigma: complex, p: ModelParams
-) -> tuple[complex, complex, float]:
-    """Scaled branch residual in ``z = beta/alpha``, its derivative, a scale.
+    z: complex, sigma: complex, a: float, b: float, s: int
+) -> tuple[complex, complex]:
+    """Scaled branch residual in ``z = beta/alpha`` and its derivative.
 
     The branch equations are labelled through ``sigma = u_i * alpha^(1/s)``
     with the two principal roots taken separately:
@@ -267,66 +312,99 @@ def _branch_residual_z(
     product rule for principal roots fails there and two in-disk roots can
     land on the same label).
     """
-    a, b = _ab(p)
-    s = p.s
     zroot = principal_root(z, s)
     r = a / s - (b / s) * z - 1 / (s * z) - sigma * zroot
     dr = -b / s + 1 / (s * z**2) - (sigma / s) * zroot / z
-    scale = a / s + abs(b * z / s) + abs(1 / (s * z)) + abs(sigma * zroot)
-    return r, dr, scale
+    return r, dr
 
 
 def _branch_newton_z(
     starts: list[complex], sigma: complex, p: ModelParams
 ) -> complex | None:
-    """First start from which Newton lands on an in-disk branch root."""
+    """First start from which Newton lands on an in-disk branch root.
+
+    Each start runs :data:`NEWTON_STEPS` steps unless the step falls below
+    1e-16 relative.  Near a root the iterate often cycles between
+    neighbouring floats instead; the step is a pure function of ``z``, so
+    once an iterate repeats the walk is periodic, no stop test can fire any
+    more, and the iterate the full walk would end on is read off the cycle.
+    """
+    a, b = _ab(p)
+    s = p.s
     for start in starts:
         z = complex(start)
-        for _ in range(60):
-            if z == 0 or not np.isfinite(z):
+        seen: dict[complex, int] = {}
+        walk = [z]
+        for i in range(1, NEWTON_STEPS + 1):
+            if z == 0 or not cmath.isfinite(z):
                 break
-            r, dr, _ = _branch_residual_z(z, sigma, p)
+            r, dr = _branch_residual_z(z, sigma, a, b, s)
             step = r / dr
-            if not np.isfinite(step):
+            if not cmath.isfinite(step):
                 break
             z = z - step
             if abs(step) < 1e-16 * abs(z):
                 break
-        if z == 0 or not np.isfinite(z) or abs(z) >= 1.0:
+            # from step 1 on z is a numpy scalar; its bytes tell -0.0 from 0.0
+            j = seen.setdefault(z, i)
+            if j < i and walk[j].tobytes() == z.tobytes():
+                z = walk[j + (NEWTON_STEPS - j) % (i - j)]
+                break
+            walk.append(z)
+        if z == 0 or not cmath.isfinite(z) or abs(z) >= 1.0:
             continue
-        r, _, scale = _branch_residual_z(z, sigma, p)
+        r, _ = _branch_residual_z(z, sigma, a, b, s)
+        zroot = principal_root(z, s)
+        scale = a / s + abs(b * z / s) + abs(1 / (s * z)) + abs(sigma * zroot)
         if abs(r) <= 1e-12 * scale:
             return z
     return None
 
 
-def betas_pos(alpha: complex, p: ModelParams) -> list[BranchedRoot]:
+def _alphas(alpha) -> list[complex]:
+    """The alphas of a scalar or 1-D stack as Python complex, checked in-disk."""
+    alphas = [complex(x) for x in np.atleast_1d(alpha)]
+    for x in alphas:
+        if not 0 < abs(x) < 1:
+            raise RootCountMismatch(f"need 0 < |alpha| < 1, got |alpha| = {abs(x)}")
+    return alphas
+
+
+def betas_pos(alpha, p: ModelParams) -> list[BranchedRoot] | list[list[BranchedRoot]]:
     """The s roots of the positive kernel inside ``|beta| < |alpha|``.
 
+    ``alpha`` is a scalar, or a 1-D array for one list of roots per entry.
     The in-disk count is certified by the winding number of the determinant
     (in ``z = beta/alpha``) over the unit circle; each root is then located
     on its own branch equation by Newton.  Companion-matrix eigenvalues seed
     the iteration, backed by the small-alpha asymptotic start
     ``z = v- + s*sigma*v-^(1+1/s) / (b*(v+ - v-))``: the in-disk roots
     coalesce at ``v-`` as alpha shrinks, which starves the companion matrix
-    of accuracy exactly where the asymptotics turn sharp.
+    of accuracy exactly where the asymptotics turn sharp.  A stack is
+    certified in one contour evaluation and seeded by one ``eigvals`` call.
     """
-    if not 0 < abs(alpha) < 1:
-        raise RootCountMismatch(f"need 0 < |alpha| < 1, got |alpha| = {abs(alpha)}")
+    alphas = _alphas(alpha)
     a, b = _ab(p)
     s = p.s
-    alpha = complex(alpha)
     # determinant in z = beta/alpha:  (a*z - b*z^2 - 1)^s - alpha*s^s*z^(s+1)
-    coeffs = npoly.polypow(np.array([-1.0, a, -b], dtype=complex), s)
-    coeffs = np.concatenate([coeffs, np.zeros(1, dtype=complex)])
-    coeffs[s + 1] -= alpha * s**s
-    if winding_count(coeffs, 1.0) != s:
+    coeffs = np.zeros((len(alphas), 2 * s + 2), dtype=complex)
+    coeffs[:, : 2 * s + 1] = npoly.polypow(np.array([-1.0, a, -b], dtype=complex), s)
+    coeffs[:, s + 1] -= np.array([x * s**s for x in alphas])
+    if np.any(winding_count(coeffs, 1.0) != s):
         raise RootCountMismatch(
             f"positive kernel does not have exactly {s} roots inside the disk"
         )
-    z_roots = npoly.polyroots(_trim_leading(coeffs, 2))
-    seeds = list(z_roots[np.abs(z_roots) < 1.0])
+    z_roots = _companion_roots([_trim_leading(c, 2) for c in coeffs])
+    out = [
+        _branch_roots(x, list(z[np.abs(z) < 1.0]), p) for x, z in zip(alphas, z_roots)
+    ]
+    return out if np.ndim(alpha) else out[0]
 
+
+def _branch_roots(alpha: complex, seeds: list, p: ModelParams) -> list[BranchedRoot]:
+    """One Newton-polished root per branch at ``alpha``, seeded by ``seeds``."""
+    _, b = _ab(p)
+    s = p.s
     v_minus, v_plus = v_ratio_roots(p)
     aroot = principal_root(alpha, s)
     out = []
@@ -383,33 +461,50 @@ def partner_alpha_pos(alpha: complex, beta: complex, p: ModelParams) -> complex:
     return complex(other)
 
 
-def beta_neg(alpha: complex, p: ModelParams) -> complex:
-    """The unique root of the negative kernel inside ``|beta| < |alpha|``."""
-    if not 0 < abs(alpha) < 1:
-        raise RootCountMismatch(f"need 0 < |alpha| < 1, got |alpha| = {abs(alpha)}")
+def beta_neg(alpha, p: ModelParams) -> complex | list[complex]:
+    """The unique root of the negative kernel inside ``|beta| < |alpha|``.
+
+    ``alpha`` is a scalar, or a 1-D array for one root per entry (certified
+    and seeded together, as in :func:`betas_pos`).
+    """
+    alphas = _alphas(alpha)
     b = (1 + p.s) * p.rho
     s = p.s
-    alpha = complex(alpha)
     # determinant in z = beta/alpha:  s^s + b^s*z^2 - z*W(alpha*z)
     # where W is the Waring power-sum polynomial of the f roots.
-    w = _waring_power_sum_coeffs(alpha, p)
-    coeffs = np.zeros(max(3, s + 2), dtype=complex)
-    coeffs[0] = s**s
-    coeffs[2] += b**s
-    coeffs[1 : 1 + w.size] -= w
-    if winding_count(coeffs, 1.0) != 1:
+    coeffs = np.zeros((len(alphas), max(3, s + 2)), dtype=complex)
+    coeffs[:, 0] = s**s
+    coeffs[:, 2] += b**s
+    for row, x in zip(coeffs, alphas):
+        w = _waring_power_sum_coeffs(x, p)
+        row[1 : 1 + w.size] -= w
+    if np.any(winding_count(coeffs, 1.0) != 1):
         raise RootCountMismatch(
             "negative kernel does not have exactly one root inside the disk"
         )
-    z_roots = npoly.polyroots(_trim_leading(coeffs, 2))
+    z_roots = _companion_roots([_trim_leading(c, 2) for c in coeffs])
+    dcoeffs = npoly.polyder(coeffs, axis=1)
+    out = [
+        _polish_neg(x, c, dc, z, p)
+        for x, c, dc, z in zip(alphas, coeffs, dcoeffs, z_roots)
+    ]
+    return out if np.ndim(alpha) else out[0]
+
+
+def _polish_neg(
+    alpha: complex,
+    coeffs: np.ndarray,
+    dcoeffs: np.ndarray,
+    z_roots: np.ndarray,
+    p: ModelParams,
+) -> complex:
+    """The in-disk root among ``z_roots``, polished on ``coeffs``, as beta."""
     inside = z_roots[np.abs(z_roots) < 1.0]
     if len(inside) != 1:
         raise RootCountMismatch(
             f"expected 1 in-disk root, companion matrix found {len(inside)}"
         )
-    # polish on the polynomial itself
     z = complex(inside[0])
-    dcoeffs = npoly.polyder(coeffs)
     for _ in range(4):
         step = npoly.polyval(z, coeffs) / npoly.polyval(z, dcoeffs)
         if not np.isfinite(step):

@@ -267,12 +267,17 @@ MODEL = ["--s", "2", "--rho", "0.5", "--q", "0.4"]
         (["nindex", "--q", "0.4", "--s-list", "a"], None),
         (["nindex", "--q", "0.4", "--rho-list", "0.5,x"], None),
         (["lmap", *MODEL, "--span", "-1"], None),
+        (["solve"], '{"s": 2, "rho": 0.5, "q": 0.4, "eps": "x"}'),
+        (["solve"], '{"s": 2, "rho": 0.5, "q": 0.4, "lmax": 2.5}'),
+        (["solve"], '{"s": 2, "rho": 0.5, "q": 0.4, "format": "xml"}'),
+        (["solve"], '{"s": true, "rho": 0.5, "q": 0.4}'),
     ],
     ids=[
         "config-unknown-key", "config-bad-json", "config-not-object",
         "config-missing-file", "box-one-extent", "box-three-extents",
         "negative-window", "s-list-not-int", "rho-list-not-float",
-        "negative-span",
+        "negative-span", "config-eps-string", "config-lmax-float",
+        "config-format-xml", "config-s-bool",
     ],
 )
 def test_bad_input_exits_two(argv, config, tmp_path, monkeypatch, capsys):

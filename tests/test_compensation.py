@@ -5,13 +5,13 @@ from conftest import rel_residual
 from sedq.compensation import (
     TermTree,
     grow_tree,
-    horizontal_step_neg,
-    horizontal_step_pos,
+    horizontal_repair,
     initial_solution,
     serialize_tree,
     vertical_step_neg,
     vertical_step_pos,
 )
+from sedq.errors import SingularSystem
 from sedq.kernel import alpha_neg, partner_alpha_pos
 from sedq.model import build_rate_matrices, validate_params
 from sedq.solver import eval_series
@@ -144,7 +144,7 @@ class TestHorizontalStep:
 
     def test_pos_bundle_shape(self):
         tilde_pos, _ = self._tilde_terms(P21)
-        bundle = horizontal_step_pos(tilde_pos[0], P21)
+        bundle = horizontal_repair([tilde_pos[0]], [True], P21)[0]
         assert len(bundle.pos) == P21.s
         assert bundle.h.vec.shape == (P21.s,)
         d = (tilde_pos[0].index - 1) * (P21.s + 1)
@@ -155,7 +155,7 @@ class TestHorizontalStep:
         tilde_pos, _ = self._tilde_terms(P21)
         rm = build_rate_matrices(P21)
         t = tilde_pos[1]
-        bundle = horizontal_step_pos(t, P21)
+        bundle = horizontal_repair([t], [True], P21)[0]
 
         def unit(m, n):
             vec = np.zeros(P21.s, dtype=complex)
@@ -182,7 +182,7 @@ class TestHorizontalStep:
         _, tilde_neg = self._tilde_terms(P21)
         rm = build_rate_matrices(P21)
         t = tilde_neg[0]
-        bundle = horizontal_step_neg(t, P21)
+        bundle = horizontal_repair([t], [False], P21)[0]
 
         def unit(m, n):
             vec = np.zeros(P21.s, dtype=complex)
@@ -207,7 +207,7 @@ class TestHorizontalStep:
 
     def test_pos_tie_row(self):
         tilde_pos, _ = self._tilde_terms(P34)
-        bundle = horizontal_step_pos(tilde_pos[0], P34)
+        bundle = horizontal_repair([tilde_pos[0]], [True], P34)[0]
         alpha = tilde_pos[0].alpha
         h = bundle.h.vec
         resid = (
@@ -220,7 +220,7 @@ class TestHorizontalStep:
     def test_neg_tie_row_has_source(self):
         _, tilde_neg = self._tilde_terms(P34)
         t = tilde_neg[0]
-        bundle = horizontal_step_neg(t, P34)
+        bundle = horizontal_repair([t], [False], P34)[0]
         alpha = t.alpha
         h = bundle.h.vec
         lhs = (
@@ -234,7 +234,7 @@ class TestHorizontalStep:
     def test_neg_h_equation_is_sourceless(self):
         _, tilde_neg = self._tilde_terms(P34)
         t = tilde_neg[0]
-        bundle = horizontal_step_neg(t, P34)
+        bundle = horizontal_repair([t], [False], P34)[0]
         rm = build_rate_matrices(P34)
         G = rm.A_01 + t.alpha * rm.A_m11
         total = G @ bundle.h.vec - t.alpha * sum(
@@ -324,6 +324,29 @@ class TestTreeGrowth:
         probs_before = eval_series(tree, 1, 1, 2).copy()
         tree.ensure_passes(5)
         assert np.array_equal(eval_series(tree, 1, 1, 2), probs_before)
+
+    def test_failing_repair_names_its_node(self, monkeypatch):
+        # a failing stacked chunk is re-run node by node for the tagged error
+        import sedq._linalg
+
+        tree = TermTree(P34)
+        tree.ensure_passes(3)
+        monkeypatch.setattr(sedq._linalg, "COND_LIMIT", 0.0)
+        with pytest.raises(SingularSystem) as info:
+            tree.ensure_passes(4)
+        assert str(info.value).startswith("level 2, node 1: horizontal repair system:")
+        assert tree.passes == 3
+
+    def test_stacked_repair_equals_one_node_at_a_time(self):
+        tree = grow_tree(P34, 3)
+        terms = [*tree.tilde_pos[2], *tree.tilde_neg[2]]
+        upper = [True] * len(tree.tilde_pos[2]) + [False] * len(tree.tilde_neg[2])
+        stacked = horizontal_repair(terms, upper, P34)
+        for t, up, b in zip(terms, upper, stacked):
+            one = horizontal_repair([t], [up], P34)[0]
+            for x, y in zip([*b.pos, b.neg, b.h], [*one.pos, one.neg, one.h]):
+                assert x[:4] == y[:4]  # index, alpha, beta, coeff
+                assert np.array_equal(x.vec, y.vec)
 
 
 class TestSerialization:

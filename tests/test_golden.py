@@ -40,6 +40,13 @@ CASES = {
         "85ffb80168f3d8cced810fdf04b495d19a71398979f18d1d9b1f74398e2a55a7",
         "9d5c31d6ca8904a435cc83f4fdbacf23033af3b9e5c198cf170d02bc9c8dcb05",
     ),
+    # 12440 tree rows: level 4 has 1296 horizontal repairs, so the stacked
+    # repair runs many chunks, one of them mixing upper and lower terms
+    "s5_rho0.85_deep": (
+        ["--s", "5", "--rho", "0.85", "--q", "0.4", "--eps", "1e-10"],
+        "289481c6bb20d4617c52fb684623ee257cd489435c6d07836d32f767ff0e7776",
+        "92484c7515291dc55d0a76f10e874dc73b4c14637a4f8f8a6da7509cd1cede76",
+    ),
     # s >= 8 rows: row sums take numpy's multi-accumulator path
     "s8_rho0.9": (
         ["--s", "8", "--rho", "0.9", "--q", "0.4"],

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from sedq.errors import DegenerateEigenvector, RootCountMismatch
 from sedq.kernel import (
+    _branch_newton_z,
+    _branch_residual_z,
     alpha_neg,
     beta_neg,
     betas_pos,
@@ -21,6 +23,7 @@ from sedq.kernel import (
     partner_alpha_pos,
     principal_root,
     roots_of_unity,
+    v_ratio_roots,
     winding_count,
 )
 from sedq.model import validate_params
@@ -297,3 +300,54 @@ class TestWinding:
     def test_root_on_contour_rejected(self):
         with pytest.raises(RootCountMismatch):
             winding_count(np.array([-1.0, 1.0]), 1.0)
+
+    def test_stack_counts_each_row(self):
+        stack = np.array([[1.0, -2.5, 1.0], [0.25, -1.0, 1.0], [1.0, 0.0, 0.25]])
+        assert winding_count(stack, 1.0).tolist() == [1, 2, 0]
+
+
+STACK_ALPHAS = [0.125, 0.4, 0.05, 0.3 + 0.1j, -0.2 + 0.3j, 0.01 - 0.6j]
+
+
+class TestStackedRoots:
+    """A stack of alphas gives each alpha exactly the bits it gets alone."""
+
+    @pytest.mark.parametrize("p", [P21, validate_params(3, 0.75, 0.4), P15])
+    def test_betas_pos_stack_equals_scalar_calls(self, p):
+        stacked = betas_pos(np.array(STACK_ALPHAS), p)
+        assert stacked == [betas_pos(alpha, p) for alpha in STACK_ALPHAS]
+
+    @pytest.mark.parametrize("p", [P21, validate_params(3, 0.75, 0.4), P15])
+    def test_beta_neg_stack_equals_scalar_calls(self, p):
+        stacked = beta_neg(np.array(STACK_ALPHAS), p)
+        assert stacked == [beta_neg(alpha, p) for alpha in STACK_ALPHAS]
+
+    def test_stack_rejects_any_alpha_outside_unit_disk(self):
+        with pytest.raises(RootCountMismatch):
+            betas_pos(np.array([0.125, 1.2]), P21)
+
+
+class TestNewtonCycleExit:
+    # from these starts the walk ends in a cycle of neighbouring floats that
+    # the 1e-16 step test never stops: period 2 entered at step 4, and
+    # period 4 entered at step 5 (the 60th iterate is the cycle's 4th)
+    @pytest.mark.parametrize("alpha, branch", [(0.05, 1), (0.19, 2)])
+    def test_cycle_exit_returns_the_sixtieth_iterate(self, alpha, branch):
+        p = P21
+        a, b = (1 + p.s) * (p.rho + 1), (1 + p.s) * p.rho
+        v_minus, v_plus = v_ratio_roots(p)
+        sigma = roots_of_unity(p.s)[branch - 1] * principal_root(alpha, p.s)
+        start = v_minus + p.s * sigma * v_minus ** (1 + 1 / p.s) / (
+            b * (v_plus - v_minus)
+        )
+
+        z, walk = complex(start), []
+        for _ in range(60):
+            r, dr = _branch_residual_z(z, sigma, a, b, p.s)
+            step = r / dr
+            z = z - step
+            assert not abs(step) < 1e-16 * abs(z)  # runs all 60 steps
+            walk.append(z)
+        assert len(set(walk)) < len(walk)  # the walk repeats an iterate
+        got = _branch_newton_z([start], sigma, p)
+        assert np.complex128(got).tobytes() == np.complex128(z).tobytes()
