@@ -24,8 +24,12 @@ import time
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence, get_args, get_type_hints
 
+import numpy as np
+
+from .compensation import TermTree, serialize_tree
+from .convergence import compute_N
 from .errors import InvalidParam, SedqError
-from .model import ModelParams, QueueState, to_internal, validate_params
+from .model import ModelParams, validate_params
 from .oracle import TruncationBox, compare, oracle_solve, simulate, SimConfig
 from .solver import (
     SolverConfig,
@@ -155,17 +159,17 @@ def _write_rows(cfg: RunConfig, header: Sequence[str], rows, meta: dict) -> None
             for key in sorted(meta):
                 fh.write(f"# {key}: {meta[key]}\n")
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(
-                    ",".join(
-                        FILE_FMT.format(x) if isinstance(x, float) else str(x)
-                        for x in row
-                    )
-                    + "\n"
-                )
+            # one template per table: floats as FILE_FMT, ints as str
+            line = ",".join("%.17g" if isinstance(x, float) else "%d" for x in rows[0])
+            fh.writelines(line % row + "\n" for row in rows)
     finally:
         if close:
             fh.close()
+
+
+def _cells(grid: np.ndarray) -> list[list]:
+    """Lists ``q1``, ``q2`` and ``P(q1, q2)`` of a heatmap grid, row-major."""
+    return [*np.indices(grid.shape).reshape(2, -1).tolist(), grid.ravel().tolist()]
 
 
 def _info(msg: str) -> None:
@@ -188,8 +192,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "K": sol.K,
     }
     if getattr(args, "dump_tree", None):
-        from .compensation import serialize_tree
-
         with open(args.dump_tree, "w") as fh:
             fh.write(serialize_tree(sol.tree))
     _write_rows(cfg, ("m", "n", "r", "q1", "q2", "probability"), rows, meta)
@@ -211,11 +213,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     p = cfg.model()
     sol = solve(p, cfg.solver())
     grid = solver_heatmap(sol, args.q1max, args.q2max)
-    rows = [
-        (q1, q2, float(grid[q1, q2]))
-        for q1 in range(args.q1max + 1)
-        for q2 in range(args.q2max + 1)
-    ]
+    rows = list(zip(*_cells(grid)))
     meta = {
         "s": p.s,
         "rho": FILE_FMT.format(p.rho),
@@ -229,8 +227,6 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def cmd_nindex(args: argparse.Namespace) -> int:
-    from .convergence import compute_N
-
     if args.q is None:
         raise InvalidParam("nindex requires --q")
     s_list = _numbers(args.s_list, ",", int, "--s-list")
@@ -271,12 +267,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     window = TruncationBox(
         min(args.window, box.q1max - 2), min(args.window, box.q2max - 2)
     )
-    sol_map = {}
-    for q1 in range(window.q1max + 1):
-        for q2 in range(window.q2max + 1):
-            m, n, r = to_internal(QueueState(q1, q2), p.s)
-            sol_map[(q1, q2)] = float(sol.probs[(m, n)][r])
-    rep = compare(sol_map, oracle.probs, window)
+    q1, q2, vals = _cells(solver_heatmap(sol, window.q1max, window.q2max))
+    rep = compare(dict(zip(zip(q1, q2), vals)), oracle.probs, window)
     _info(
         f"solver vs oracle: max_rel_err={CONSOLE_FMT.format(rep.max_rel_err)} "
         f"max_abs_err={CONSOLE_FMT.format(rep.max_abs_err)} "
@@ -307,11 +299,9 @@ def cmd_lmap(args: argparse.Namespace) -> int:
     p = cfg.model()
     if args.span < 0:
         raise InvalidParam(f"--span must be nonnegative, got {args.span}")
-    from .compensation import TermTree
-
-    states = list(triangle_states(args.span))
-    Ls = accuracy_passes(TermTree(p), *zip(*states), cfg.eps, cfg.lmax)
-    rows = [(m, n, L) for (m, n), L in zip(states, Ls.tolist())]
+    m, n = zip(*triangle_states(args.span))
+    Ls = accuracy_passes(TermTree(p), m, n, cfg.eps, cfg.lmax)
+    rows = list(zip(m, n, Ls.tolist()))
     meta = {
         "s": p.s,
         "rho": FILE_FMT.format(p.rho),

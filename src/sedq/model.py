@@ -74,8 +74,8 @@ def validate_params(s: int, rho: float, q: float) -> ModelParams:
 
     Raises:
         UnstableSystem: if ``rho >= 1`` (offered load at or above capacity).
-        InvalidParam: if ``s`` is not a positive integer, ``rho <= 0``, or
-            ``q`` lies outside ``[0, 1]``.
+        InvalidParam: if ``s`` is not a positive integer, ``rho <= 0`` or
+            NaN, or ``q`` lies outside ``[0, 1]``.
     """
     if isinstance(s, float):
         if not s.is_integer():
@@ -89,7 +89,7 @@ def validate_params(s: int, rho: float, q: float) -> ModelParams:
         raise UnstableSystem(
             f"system unstable: rho = {rho} but stability requires rho < 1"
         )
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise InvalidParam(f"rho must lie in (0, 1), got {rho}")
     if not 0.0 <= q <= 1.0:
         raise InvalidParam(f"q must lie in [0, 1], got {q}")
@@ -111,29 +111,32 @@ class InternalState(NamedTuple):
     r: int
 
 
+def _ints(*xs):
+    """Python ints for scalar input (hashable, JSON-ready); arrays pass through."""
+    return tuple(x if np.ndim(x) else int(x) for x in xs)
+
+
 def to_internal(st: QueueState, s: int) -> InternalState:
-    """Map queue lengths to the group-counted state.
+    """Map queue lengths (ints or integer arrays) to the group-counted state.
 
     ``j = q2 // s`` groups in queue 2, ``m = min(q1, j)``, ``n = j - q1`` and
     ``r = q2 % s`` ungrouped customers.
     """
     q1, q2 = st
     j, r = divmod(q2, s)
-    return InternalState(m=min(q1, j), n=j - q1, r=r)
+    return InternalState(*_ints(np.minimum(q1, j), j - q1, r))
 
 
 def from_internal(st: InternalState, s: int) -> QueueState:
-    """Inverse of :func:`to_internal`.
+    """Inverse of :func:`to_internal`, for ints or integer arrays alike.
 
     For ``n >= 0`` the shorter side is queue 1 (``q1 = m``, ``j = m + n``);
     for ``n < 0`` it is queue 2 (``j = m``, ``q1 = m - n``).
     """
     m, n, r = st
-    if n >= 0:
-        q1, j = m, m + n
-    else:
-        q1, j = m - n, m
-    return QueueState(q1=q1, q2=j * s + r)
+    q1 = m + np.maximum(-n, 0)
+    j = m + np.maximum(n, 0)
+    return QueueState(*_ints(q1, j * s + r))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -49,9 +50,7 @@ from .errors import (
 )
 from .model import (
     FAMILY_OF,
-    InternalState,
     ModelParams,
-    QueueState,
     build_rate_matrices,
     equation_stencil,
     family_stencil,
@@ -94,7 +93,7 @@ class SolverConfig:
     K: int | None = None
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise InvalidParam(f"eps must be positive, got {self.eps}")
         if self.L_max < 1:
             raise InvalidParam(f"L_max must be at least 1, got {self.L_max}")
@@ -104,18 +103,25 @@ class SolverConfig:
 class EquilibriumSolution:
     """Normalized distribution over ``T_K`` plus the tree behind it.
 
-    ``probs`` maps each state to its row of the solver's ``(states, s)``
-    array, series states first.
+    Row ``i`` of the ``(states, s)`` array ``dist`` is state ``(m[i], n[i])``,
+    series states first; ``probs`` maps each state to its row (a view).
     """
 
     params: ModelParams
-    probs: dict[tuple[int, int], np.ndarray]
+    m: np.ndarray
+    n: np.ndarray
+    dist: np.ndarray
     C: float
     tree: TermTree
     N: int
     M: int
     K: int
     diagnostics: dict = field(default_factory=dict)
+
+    @cached_property
+    def probs(self) -> dict[tuple[int, int], np.ndarray]:
+        """Each state's row of ``dist`` (a view), built on first use."""
+        return dict(zip(zip(self.m.tolist(), self.n.tolist()), self.dist))
 
 
 def _triangle(K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,6 +277,14 @@ def boundary_solve(
     return {st: x[s * pos[st] : s * (pos[st] + 1)] for st in states}
 
 
+def _row_index(m: np.ndarray, n: np.ndarray):
+    """Map from index arrays ``(mm, nn)`` to the rows of ``(m[i], n[i])``, else -1."""
+    top = int(np.max(m + np.abs(n)))
+    row = np.full((top + 1, 2 * top + 1), -1)
+    row[m, n + top] = np.arange(len(m))
+    return lambda mm, nn: row[mm, nn + top]
+
+
 def normalize(vals: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Scale ``vals`` (one row per state) to total mass one.
 
@@ -304,9 +318,7 @@ def _worst_residual(
     """
     rm = build_rate_matrices(p)
     rate = (1 + p.s) * (p.rho + 1)
-    top = int(np.max(m + np.abs(n)))
-    row = np.full((top + 1, 2 * top + 1), -1)
-    row[m, n + top] = np.arange(len(m))
+    row = _row_index(m, n)
     tm, tn = _triangle(span)
     worst = 0.0
     for (at_zero, edge), fam in FAMILY_OF.items():
@@ -314,7 +326,7 @@ def _worst_residual(
         fm, fn = tm[here], tn[here]
         res = local = 0.0
         for dm, dn, block in family_stencil(rm, p.s, fam):
-            vec = probs[row[fm + dm, fn + dn + top]]
+            vec = probs[row(fm + dm, fn + dn)]
             res = res + np.matmul(block, vec[:, :, None])[:, :, 0]
             local = np.maximum(local, np.abs(vec).max(axis=1))
         rel = np.abs(res).max(axis=1) / (rate * np.maximum(local, TINY))
@@ -338,14 +350,14 @@ def solve(p: ModelParams, cfg: SolverConfig | None = None) -> EquilibriumSolutio
     order = np.argsort(m + np.abs(n) <= M, kind="stable")
     m, n = m[order], n[order]
     cut = int(np.count_nonzero(m + np.abs(n) > M))
-    states = list(zip(m.tolist(), n.tolist()))
+    outer = list(zip(m[:cut].tolist(), n[:cut].tolist()))
 
     tree = TermTree(p)
     series, L = series_values(tree, m[:cut], n[:cut], cfg.eps, cfg.L_max)
     scale = np.abs(series).max(axis=1)
     live = scale > 0
     rel_imag = np.abs(series.imag).max(axis=1)[live] / scale[live]
-    inner = boundary_solve(p, dict(zip(states[:cut], series.real)), M)
+    inner = boundary_solve(p, dict(zip(outer, series.real)), M)
     probs, C, clipped = normalize(
         np.concatenate([series.real, list(inner.values())])
     )
@@ -353,7 +365,7 @@ def solve(p: ModelParams, cfg: SolverConfig | None = None) -> EquilibriumSolutio
     ring = sum(probs[m + np.abs(n) == K].sum(axis=1))
     r = p.rho ** (1 + p.s)
     diagnostics = {
-        "L_used": dict(zip(states[:cut], L.tolist())),
+        "L_used": dict(zip(outer, L.tolist())),
         "max_rel_imag": float(rel_imag.max(initial=0.0)),
         "clipped": clipped,
         "pruned_terms": tree.pruned,
@@ -362,7 +374,7 @@ def solve(p: ModelParams, cfg: SolverConfig | None = None) -> EquilibriumSolutio
         "max_rel_residual": _worst_residual(p, m, n, probs, K - 1),
     }
     return EquilibriumSolution(
-        params=p, probs=dict(zip(states, probs)), C=C, tree=tree, N=N, M=M, K=K,
+        params=p, m=m, n=n, dist=probs, C=C, tree=tree, N=N, M=M, K=K,
         diagnostics=diagnostics,
     )
 
@@ -370,17 +382,15 @@ def solve(p: ModelParams, cfg: SolverConfig | None = None) -> EquilibriumSolutio
 def metrics(sol: EquilibriumSolution) -> dict[str, float]:
     """Moments of the queue-length distribution plus the idle probability."""
     s = sol.params.s
-    mean_q1 = mean_q2 = 0.0
-    for (m, n), vec in sol.probs.items():
-        for r in range(s):
-            q1, q2 = from_internal(InternalState(m, n, r), s)
-            mean_q1 += q1 * vec[r]
-            mean_q2 += q2 * vec[r]
+    q1, q2 = from_internal((sol.m[:, None], sol.n[:, None], np.arange(s)), s)
+    # cumsum adds q * p one entry after another in row order, as a loop would
+    mean_q1 = np.cumsum(q1 * sol.dist)[-1]
+    mean_q2 = np.cumsum(q2 * sol.dist)[-1]
     return {
         "mean_q1": mean_q1,
         "mean_q2": mean_q2,
         "mean_total": mean_q1 + mean_q2,
-        "p_idle": float(sol.probs[(0, 0)][0]),
+        "p_idle": float(sol.dist[_row_index(sol.m, sol.n)(0, 0), 0]),
         "tail_mass": sol.diagnostics.get("tail_mass_estimate", 0.0),
     }
 
@@ -399,23 +409,19 @@ def heatmap(sol: EquilibriumSolution, q1max: int, q2max: int) -> np.ndarray:
             f"grid needs m + |n| up to {max(q1max, q2max // s)} "
             f"but the solution covers {sol.K}"
         )
-    grid = np.zeros((q1max + 1, q2max + 1))
-    for q1 in range(q1max + 1):
-        for q2 in range(q2max + 1):
-            m, n, r = to_internal(QueueState(q1, q2), s)
-            grid[q1, q2] = sol.probs[(m, n)][r]
-    return grid
+    m, n, r = to_internal(np.ogrid[: q1max + 1, : q2max + 1], s)
+    return sol.dist[_row_index(sol.m, sol.n)(m, n), r]
 
 
 def solution_records(
     sol: EquilibriumSolution,
 ) -> list[tuple[int, int, int, int, int, float]]:
     """Rows ``(m, n, r, q1, q2, probability)`` sorted by state."""
-    s = sol.params.s
+    s, r = sol.params.s, np.arange(sol.params.s)
     rows = []
-    for (m, n) in sorted(sol.probs):
-        vec = sol.probs[(m, n)]
-        for r in range(s):
-            q1, q2 = from_internal(InternalState(m, n, r), s)
-            rows.append((m, n, r, q1, q2, float(vec[r])))
+    # a few thousand states at a time: the column lists stay short-lived
+    for i in np.array_split(np.lexsort((sol.n, sol.m)), len(sol.m) // 4096 + 1):
+        m, n = sol.m[i, None], sol.n[i, None]
+        cols = np.broadcast_arrays(m, n, r, *from_internal((m, n, r), s), sol.dist[i])
+        rows += zip(*(c.ravel().tolist() for c in cols))
     return rows

@@ -179,6 +179,15 @@ class TestValidateCommand:
         assert code == 1
         assert "numerical failure" in err
 
+    def test_window_outside_truncation_is_typed_failure(self, capsys):
+        code, out, err = run_cli(
+            ["validate", "--s", "2", "--rho", "0.5", "--q", "0.4", "--k", "10"],
+            capsys,
+        )
+        assert code == 1
+        assert "numerical failure: grid needs m + |n| up to 15" in err
+        assert "Traceback" not in err and out == ""
+
     def test_simulation_report_deterministic(self, capsys):
         argv = ["validate", "--s", "1", "--rho", "0.5", "--q", "0.5",
                 "--box", "30x30", "--simulate", "--events", "100000",
@@ -271,13 +280,17 @@ MODEL = ["--s", "2", "--rho", "0.5", "--q", "0.4"]
         (["solve"], '{"s": 2, "rho": 0.5, "q": 0.4, "lmax": 2.5}'),
         (["solve"], '{"s": 2, "rho": 0.5, "q": 0.4, "format": "xml"}'),
         (["solve"], '{"s": true, "rho": 0.5, "q": 0.4}'),
+        (["solve", "--s", "2", "--rho", "nan", "--q", "0.4"], None),
+        (["nindex", "--q", "0.4", "--rho-list", "nan"], None),
+        (["solve", *MODEL, "--eps", "nan"], None),
     ],
     ids=[
         "config-unknown-key", "config-bad-json", "config-not-object",
         "config-missing-file", "box-one-extent", "box-three-extents",
         "negative-window", "s-list-not-int", "rho-list-not-float",
         "negative-span", "config-eps-string", "config-lmax-float",
-        "config-format-xml", "config-s-bool",
+        "config-format-xml", "config-s-bool", "rho-nan", "nindex-rho-nan",
+        "eps-nan",
     ],
 )
 def test_bad_input_exits_two(argv, config, tmp_path, monkeypatch, capsys):

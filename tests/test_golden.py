@@ -1,8 +1,9 @@
-"""Golden outputs: the ``solve``, ``--dump-tree`` and ``lmap`` CSVs, byte for byte.
+"""Golden outputs: the ``solve``, ``--dump-tree``, ``lmap`` and ``heatmap``
+CSVs and the ``solve`` JSON, byte for byte.
 
 Each solve case runs ``sedq solve ... --out F --dump-tree T`` and compares
-the sha256 of both files with a pinned digest; the lmap case does the same
-for its one file.  A refactor that changes no
+the sha256 of both files with a pinned digest; the other cases do the same
+for their one file.  A refactor that changes no
 arithmetic must keep them.  The digests hold for the numpy / LAPACK build
 they were recorded with (numpy 2.4.6 linking scipy-openblas 0.3.31, CPython
 3.11, x86-64); another numpy, BLAS or LAPACK build may move the last digits
@@ -61,6 +62,12 @@ LMAP_ARGS = [
 ]
 LMAP_DIGEST = "87fa55f2eae6a4081f6e4567bf298fdc4579ea14a3c96e6223cfb034fc6e4fe4"
 
+HEATMAP_ARGS = ["--s", "3", "--rho", "0.9", "--q", "0.4", "--q1max", "30", "--q2max", "60"]
+HEATMAP_DIGEST = "9b44eac83d001fe1dea6bfbbbfcc9938542407402b9d37b74cadfd4aaf82d7bb"
+
+JSON_ARGS = ["--s", "2", "--rho", "0.6", "--q", "0.4", "--format", "json"]
+JSON_DIGEST = "dd7875ef744fe56ebe9b64467d885ab721f7820397b66a5909857df1108a1778"
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -79,3 +86,15 @@ def test_lmap_is_byte_identical(tmp_path):
     out = tmp_path / "lmap.csv"
     assert main(["lmap", *LMAP_ARGS, "--out", str(out)]) == 0
     assert _sha256(out) == LMAP_DIGEST
+
+
+def test_heatmap_is_byte_identical(tmp_path):
+    out = tmp_path / "heatmap.csv"
+    assert main(["heatmap", *HEATMAP_ARGS, "--out", str(out)]) == 0
+    assert _sha256(out) == HEATMAP_DIGEST
+
+
+def test_solve_json_is_byte_identical(tmp_path):
+    out = tmp_path / "solve.json"
+    assert main(["solve", *JSON_ARGS, "--out", str(out)]) == 0
+    assert _sha256(out) == JSON_DIGEST

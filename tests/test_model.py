@@ -32,7 +32,7 @@ class TestValidateParams:
     @pytest.mark.parametrize(
         "s,rho,q",
         [(0, 0.5, 0.5), (-1, 0.5, 0.5), (2, 0.0, 0.5), (2, -0.3, 0.5),
-         (2, 0.5, -0.1), (2, 0.5, 1.1), (2.5, 0.5, 0.5)],
+         (2, 0.5, -0.1), (2, 0.5, 1.1), (2.5, 0.5, 0.5), (2, float("nan"), 0.4)],
     )
     def test_rejects_bad_parameters(self, s, rho, q):
         with pytest.raises(InvalidParam):
@@ -91,6 +91,27 @@ class TestStateMapping:
         r = data.draw(st.integers(0, s - 1))
         st_i = InternalState(m, n, r)
         assert to_internal(from_internal(st_i, s), s) == st_i
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5])
+    def test_round_trip_array_form_matches_scalar_form(self, s):
+        # queue side: 0 <= q1 < 9, 0 <= q2 < 9s covers n < 0, n = 0, n > 0
+        # and every remainder r
+        q1, q2 = np.meshgrid(np.arange(9), np.arange(9 * s), indexing="ij")
+        m, n, r = to_internal(QueueState(q1, q2), s)
+        assert (n < 0).any() and (n == 0).any() and (n > 0).any()
+        assert set(r.ravel().tolist()) == set(range(s))
+        for a, b, i, j, k in zip(*(x.ravel().tolist() for x in (q1, q2, m, n, r))):
+            assert to_internal(QueueState(a, b), s) == (i, j, k)
+        back = from_internal(InternalState(m, n, r), s)
+        assert np.array_equal(back[0], q1) and np.array_equal(back[1], q2)
+        for i, j, k, a, b in zip(*(x.ravel().tolist() for x in (m, n, r, *back))):
+            assert from_internal(InternalState(i, j, k), s) == (a, b)
+
+    def test_scalar_results_are_hashable_ints(self):
+        st_i = to_internal(QueueState(5, 3), 2)
+        st_q = from_internal(st_i, 2)
+        assert {st_i: 1, st_q: 2}[st_i] == 1
+        assert [type(x) for x in (*st_i, *st_q)] == [int] * 5
 
 
 class TestRateMatrices:

@@ -161,6 +161,11 @@ class TestSolve:
         total = sum(v.sum() for v in sol21.probs.values())
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_probs_are_the_rows_of_dist(self, sol21):
+        assert len(sol21.probs) == len(sol21.dist)
+        for (m, n), vec in zip(zip(sol21.m, sol21.n), sol21.dist):
+            assert np.shares_memory(sol21.probs[(m, n)], vec)
+
     def test_normalization_constant_applied(self, sol21):
         assert sol21.C > 0
 
@@ -222,6 +227,24 @@ class TestMetrics:
     def test_idle_probability(self, sol21):
         assert metrics(sol21)["p_idle"] == pytest.approx(sol21.probs[(0, 0)][0])
 
+    @pytest.mark.parametrize(
+        "triple, K", [((2, 0.5, 0.4), None), ((8, 0.9, 0.4), None), ((2, 0.95, 0.4), 120)]
+    )
+    def test_means_equal_per_state_sum(self, triple, K):
+        from sedq.model import InternalState, from_internal
+
+        sol = solve(validate_params(*triple), SolverConfig(K=K))
+        mean_q1 = mean_q2 = 0.0
+        for (m, n), vec in sol.probs.items():
+            for r in range(sol.params.s):
+                q1, q2 = from_internal(InternalState(m, n, r), sol.params.s)
+                mean_q1 += q1 * vec[r]
+                mean_q2 += q2 * vec[r]
+        mets = metrics(sol)
+        assert mets["mean_q1"] == mean_q1
+        assert mets["mean_q2"] == mean_q2
+        assert mets["mean_total"] == mean_q1 + mean_q2
+
 
 class TestHeatmap:
     def test_full_grid_mass(self, sol21):
@@ -241,6 +264,15 @@ class TestHeatmap:
     def test_negative_extent_rejected(self, sol21):
         with pytest.raises(InvalidParam):
             heatmap(sol21, -1, 3)
+
+    def test_cells_read_the_solution(self, sol21):
+        from sedq.model import QueueState, to_internal
+
+        grid = heatmap(sol21, 12, 25)
+        for q1 in range(13):
+            for q2 in range(26):
+                m, n, r = to_internal(QueueState(q1, q2), P21.s)
+                assert grid[q1, q2] == sol21.probs[(m, n)][r]
 
 
 class TestRecords:
