@@ -149,12 +149,7 @@ def _write_rows(cfg: RunConfig, header: Sequence[str], rows, meta: dict) -> None
     fh, close = _open_out(cfg.out)
     try:
         if cfg.format == "json":
-            doc = {
-                "meta": meta,
-                "records": [dict(zip(header, row)) for row in rows],
-            }
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            _write_json(fh, header, rows, meta)
         else:
             for key in sorted(meta):
                 fh.write(f"# {key}: {meta[key]}\n")
@@ -165,6 +160,22 @@ def _write_rows(cfg: RunConfig, header: Sequence[str], rows, meta: dict) -> None
     finally:
         if close:
             fh.close()
+
+
+def _write_json(fh, header: Sequence[str], rows, meta: dict) -> None:
+    """``json.dump({"meta": meta, "records": [...]}, fh, indent=1,
+    sort_keys=True)`` plus a newline, one record at a time.
+
+    One template per table renders a row with its keys sorted; a value
+    prints as its ``repr``, which for ints and finite floats is JSON's.
+    """
+    keys = sorted(range(len(header)), key=header.__getitem__)
+    fields = ",".join(f'\n   {json.dumps(header[i])}: {{{i}!r}}' for i in keys)
+    record = "  {{" + fields + "\n  }}"
+    meta_text = json.dumps(meta, indent=1, sort_keys=True).replace("\n", "\n ")
+    fh.write(f'{{\n "meta": {meta_text},\n "records": [')
+    fh.writelines((",\n" if i else "\n") + record.format(*row) for i, row in enumerate(rows))
+    fh.write("\n ]\n}\n" if rows else "]\n}\n")
 
 
 def _cells(grid: np.ndarray) -> list[list]:

@@ -1,9 +1,10 @@
+import io
 import json
 import re
 
 import pytest
 
-from sedq.cli import RunConfig, main
+from sedq.cli import RunConfig, _write_json, main
 
 
 def run_cli(argv, capsys):
@@ -78,6 +79,14 @@ class TestSolveCommand:
         doc = json.loads(out.read_text())
         assert doc["meta"]["N"] == 1
         assert {"m", "n", "r", "q1", "q2", "probability"} <= set(doc["records"][0])
+
+    @pytest.mark.parametrize("rows", [[], [(0, 1, 0.25), (2, -3, 1e-300)]])
+    def test_streamed_json_equals_json_dump(self, rows):
+        header, meta = ("q2", "m", "probability"), {"s": 2, "rho": "0.5"}
+        doc = {"meta": meta, "records": [dict(zip(header, row)) for row in rows]}
+        fh = io.StringIO()
+        _write_json(fh, header, rows, meta)
+        assert fh.getvalue() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
     def test_tree_dump(self, tmp_path, capsys):
         out = tmp_path / "sol.csv"
