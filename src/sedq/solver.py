@@ -350,13 +350,13 @@ def solve(p: ModelParams, cfg: SolverConfig | None = None) -> EquilibriumSolutio
     order = np.argsort(m + np.abs(n) <= M, kind="stable")
     m, n = m[order], n[order]
     cut = int(np.count_nonzero(m + np.abs(n) > M))
-    outer = list(zip(m[:cut].tolist(), n[:cut].tolist()))
 
     tree = TermTree(p)
     series, L = series_values(tree, m[:cut], n[:cut], cfg.eps, cfg.L_max)
     scale = np.abs(series).max(axis=1)
     live = scale > 0
     rel_imag = np.abs(series.imag).max(axis=1)[live] / scale[live]
+    outer = zip(m[:cut].tolist(), n[:cut].tolist())
     inner = boundary_solve(p, dict(zip(outer, series.real)), M)
     probs, C, clipped = normalize(
         np.concatenate([series.real, list(inner.values())])
@@ -365,7 +365,8 @@ def solve(p: ModelParams, cfg: SolverConfig | None = None) -> EquilibriumSolutio
     ring = sum(probs[m + np.abs(n) == K].sum(axis=1))
     r = p.rho ** (1 + p.s)
     diagnostics = {
-        "L_used": dict(zip(outer, L.tolist())),
+        # passes per row of dist; 0 on the T_M rows, which no series fills
+        "L_used": np.concatenate([L, np.zeros(len(m) - cut, dtype=int)]),
         "max_rel_imag": float(rel_imag.max(initial=0.0)),
         "clipped": clipped,
         "pruned_terms": tree.pruned,

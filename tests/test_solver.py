@@ -180,6 +180,13 @@ class TestSolve:
             assert np.all(vec >= 0)
         assert sol21.diagnostics["max_rel_imag"] < 1e-9
 
+    def test_l_used_is_aligned_with_dist(self, sol21):
+        L = sol21.diagnostics["L_used"]
+        inner = sol21.m + np.abs(sol21.n) <= sol21.M
+        assert L.dtype.kind == "i" and len(L) == len(sol21.dist)
+        assert np.all(L[inner] == 0)
+        assert np.all((L[~inner] >= 1) & (L[~inner] <= SolverConfig().L_max))
+
     def test_balance_on_inner_triangle(self, sol21):
         prob = lambda m, n: sol21.probs[(m, n)]
         for (m, n) in triangle_states(4):
