@@ -11,7 +11,7 @@ from sedq.compensation import (
     vertical_step_neg,
     vertical_step_pos,
 )
-from sedq.errors import SingularSystem
+from sedq.errors import DegenerateQuadratic, SingularSystem
 from sedq.kernel import alpha_neg, partner_alpha_pos
 from sedq.model import build_rate_matrices, validate_params
 from sedq.solver import eval_series
@@ -336,6 +336,16 @@ class TestTreeGrowth:
             tree.ensure_passes(4)
         assert str(info.value).startswith("level 2, node 1: horizontal repair system:")
         assert tree.passes == 3
+
+    def test_failing_vertical_pass_names_its_node(self, monkeypatch):
+        import sedq.kernel
+
+        tree = TermTree(P34)
+        monkeypatch.setattr(sedq.kernel, "DISTINCT_ATOL", 1e3)
+        with pytest.raises(DegenerateQuadratic) as info:
+            tree.ensure_passes(1)
+        assert str(info.value).startswith("level 0, node 1: ")
+        assert tree.passes == 0
 
     def test_stacked_repair_equals_one_node_at_a_time(self):
         tree = grow_tree(P34, 3)
