@@ -174,7 +174,9 @@ def _write_json(fh, header: Sequence[str], rows, meta: dict) -> None:
     record = "  {{" + fields + "\n  }}"
     meta_text = json.dumps(meta, indent=1, sort_keys=True).replace("\n", "\n ")
     fh.write(f'{{\n "meta": {meta_text},\n "records": [')
-    fh.writelines((",\n" if i else "\n") + record.format(*row) for i, row in enumerate(rows))
+    fh.writelines(
+        (",\n" if i else "\n") + record.format(*row) for i, row in enumerate(rows)
+    )
     fh.write("\n ]\n}\n" if rows else "]\n}\n")
 
 

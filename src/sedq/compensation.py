@@ -24,20 +24,20 @@ The tree stores every level of each kind (``hat_pos``, ``hat_neg``,
 ``tilde_pos``, ``tilde_neg``, ``h_vecs``) as one :class:`Block` of arrays;
 the level and kind of a term are where its block is stored.  An ``n = 0``
 row vector is a block row with ``beta = coeff = 1``, so one formula
-evaluates every block.  Vertical steps work one node at a time on
-:class:`Term` rows with Python scalars.  A horizontal pass works on the
-level: :func:`horizontal_repair` takes up to :data:`REPAIR_CHUNK` vertical
-terms at once, finds their roots and solves their systems in stacked calls,
-and gives each node the bits it would get alone.  Moduli decrease strictly
-down the tree, so coefficients eventually underflow; terms whose
-contribution falls below 1e-300 are pruned from their level with a counter.
+evaluates every block.  Every repair step maps blocks to blocks: a vertical
+pass maps a level to its partner level in one call per kind, and a
+horizontal pass repairs :data:`REPAIR_CHUNK` vertical terms per call of
+:func:`horizontal_repair`, with stacked root searches and one stacked solve.
+Rows are independent, so a step that fails is re-run one row at a time to
+name the failing node.  Moduli decrease strictly down the tree, so
+coefficients eventually underflow; terms whose contribution falls below
+1e-300 are pruned from their level with a counter.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,9 +54,7 @@ from .kernel import (
 from .model import ModelParams, RateMatrices, build_rate_matrices
 
 __all__ = [
-    "Term",
     "Block",
-    "Bundle",
     "TermTree",
     "initial_solution",
     "vertical_step_pos",
@@ -73,19 +71,9 @@ REPAIR_CHUNK = 64
 VALUE_ROWS = 256
 
 
-class Term(NamedTuple):
-    """One product form ``coeff * alpha^m * beta^|n| * vec``: a block row."""
-
-    index: int
-    alpha: complex
-    beta: complex
-    coeff: complex
-    vec: np.ndarray
-
-
 @dataclass(frozen=True)
 class Block:
-    """One tree level of one kind: ``k`` terms as arrays, ``vec`` of shape (k, s)."""
+    """``k`` product forms as arrays, ``vec`` of shape (k, s): a tree level."""
 
     index: np.ndarray
     alpha: np.ndarray
@@ -94,31 +82,23 @@ class Block:
     vec: np.ndarray
 
     @classmethod
-    def of(cls, terms: list[Term], s: int) -> Block:
-        """Stack ``terms``; an empty level still has ``vec`` of shape (0, s)."""
-        return cls(
-            index=np.array([t.index for t in terms], dtype=int),
-            alpha=np.array([t.alpha for t in terms], dtype=complex),
-            beta=np.array([t.beta for t in terms], dtype=complex),
-            coeff=np.array([t.coeff for t in terms], dtype=complex),
-            vec=np.array([t.vec for t in terms], dtype=complex).reshape(-1, s),
-        )
+    def join(cls, blocks, s: int) -> Block:
+        """The rows of ``blocks`` in order; no rows give ``vec`` of shape (0, s)."""
+        empty = cls(np.zeros(0, dtype=int), *np.zeros((3, 0), dtype=complex),
+                     np.zeros((0, s), dtype=complex))
+        return cls(*map(np.concatenate, zip(*(b._columns() for b in [empty, *blocks]))))
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.index, self.alpha, self.beta, self.coeff, self.vec
 
     def __len__(self) -> int:
         return len(self.index)
 
-    def __getitem__(self, i: int) -> Term:
-        """Row ``i`` with Python scalars, the types the repair steps compute in."""
-        return Term(
-            int(self.index[i]),
-            complex(self.alpha[i]),
-            complex(self.beta[i]),
-            complex(self.coeff[i]),
-            self.vec[i],
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+    def __getitem__(self, rows) -> Block:
+        """The block of ``rows``: a slice, a boolean mask or an index array."""
+        if not isinstance(rows, slice) and np.ndim(rows) == 0:
+            raise TypeError("a Block takes a slice, mask or index array of rows")
+        return Block(*(col[rows] for col in self._columns()))
 
     def value(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
         """Sum of the block's terms at each state ``(m[i], n[i])``, shape (k, s).
@@ -139,17 +119,31 @@ class Block:
         return out
 
 
-@dataclass
-class Bundle:
-    """Output of one horizontal step: s upper terms, one lower, one h-vector."""
+def _children(index, alpha, x, betas, bneg, ipos, ineg) -> tuple[Block, Block, Block]:
+    """Children of nodes ``index`` from the rows ``x = (h, c_1..c_s, c_{s+1})``.
 
-    pos: list[Term]
-    neg: Term
-    h: Term
+    ``betas`` (k, s) and ``ipos`` (k, s, s) hold the upper roots and
+    eigenvectors in branch order, ``bneg`` and ``ineg`` the lower ones.
+    Returns the upper, lower and h-vector blocks.
+    """
+    k, s = betas.shape
+    d = (index - 1) * (s + 1)
+    pos = Block(
+        (d[:, None] + np.arange(1, s + 1)).ravel(),
+        np.repeat(alpha, s),
+        betas.ravel(),
+        x[:, s : 2 * s].ravel(),
+        ipos.reshape(k * s, s),
+    )
+    neg = Block(index * (s + 1), alpha, bneg, x[:, 2 * s], ineg)
+    ones = np.ones(k, dtype=complex)
+    return pos, neg, Block(index, alpha, ones, ones, x[:, :s])
 
 
-def initial_solution(p: ModelParams, rm: RateMatrices | None = None) -> Bundle:
-    """Level-0 triple with ``alpha = rho^(1+s)``.
+def initial_solution(
+    p: ModelParams, rm: RateMatrices | None = None
+) -> tuple[Block, Block, Block]:
+    """Level-0 triple with ``alpha = rho^(1+s)``: upper, lower and h-vector block.
 
     The lower-quadrant coefficient is fixed to 1 (any nonzero choice only
     rescales the final normalization constant).  The s upper coefficients
@@ -161,33 +155,32 @@ def initial_solution(p: ModelParams, rm: RateMatrices | None = None) -> Bundle:
         rm = build_rate_matrices(p)
     s = p.s
     alpha = p.rho ** (1 + s)
-    roots = betas_pos(alpha, p)
+    betas = betas_pos(alpha, p)
     bneg = beta_neg(alpha, p)
-    ipos = [eigvec_pos(alpha, r.value, p) for r in roots]
+    ipos = eigvec_pos(alpha, betas, p)  # row j: the eigenvector of branch j + 1
     ineg = eigvec_neg(alpha, bneg, p)
 
     G = rm.A_01 + alpha * rm.A_m11
     M1 = rm.A_1m1 + alpha * rm.A_0m1
     M2 = rm.B_11 + alpha * rm.B_01
 
-    cols = np.empty((s, s), dtype=complex)
-    for j, vec in enumerate(ipos):
-        cols[:, j] = roots[j].value * (M1 @ vec) + alpha**2 * (
-            rm.B_00 @ np.linalg.solve(G, vec)
-        )
+    cols = betas * (M1 @ ipos.T) + alpha**2 * (rm.B_00 @ np.linalg.solve(G, ipos.T))
     rhs = -bneg * (M2 @ ineg)
     # eigenvector entries grade like alpha^(r/s); undo that row by row
     grade = abs(alpha) ** (-np.arange(s) / s)
     c_hat = solve_checked(
         cols * grade[:, None], rhs * grade, "initial coefficient system"
     )
-    h = alpha * np.linalg.solve(G, sum(c * v for c, v in zip(c_hat, ipos)))
+    h = alpha * np.linalg.solve(G, ipos.T @ c_hat)
     x = np.concatenate([h, c_hat, [1.0]])
-    return _bundle_from_solution(1, complex(alpha), x, roots, bneg, ipos, ineg, s)
+    return _children(
+        np.array([1]), np.array([alpha], dtype=complex), x[None], betas[None],
+        np.array([bneg]), ipos[None], ineg[None],
+    )
 
 
-def vertical_step_pos(t: Term, p: ModelParams) -> Term:
-    """Partner term so the two-term sum satisfies the upper vertical equations.
+def vertical_step_pos(t: Block, p: ModelParams) -> Block:
+    """Partner terms so each two-term sum satisfies the upper vertical equations.
 
     The partner alpha is the second root of the same branch quadratic (inside
     ``|beta|``), sharing the eigenvector; the coefficient is
@@ -196,59 +189,39 @@ def vertical_step_pos(t: Term, p: ModelParams) -> Term:
     b = (1 + p.s) * p.rho
     alpha1 = partner_alpha_pos(t.alpha, t.beta, p)
     denom = 1 - (t.beta / alpha1) * b
-    if denom == 0:
+    if np.any(denom == 0):
         raise ZeroDivisionError("vertical coefficient denominator vanished")
     coeff = -t.coeff * (1 - (t.beta / t.alpha) * b) / denom
-    return Term(t.index, alpha1, t.beta, coeff, t.vec)
+    return Block(t.index, alpha1, t.beta, coeff, t.vec)
 
 
-def vertical_step_neg(t: Term, p: ModelParams) -> Term:
-    """Partner term so the two-term sum satisfies the lower vertical equations."""
+def vertical_step_neg(t: Block, p: ModelParams) -> Block:
+    """Partner terms so each two-term sum satisfies the lower vertical equations."""
     s = p.s
     b = (1 + s) * p.rho
     alpha1 = alpha_neg(t.beta, p)
     vec1 = eigvec_neg(alpha1, t.beta, p)
-    denom = s - (t.beta / alpha1) * b * vec1[s - 1]
-    if denom == 0:
+    denom = s - (t.beta / alpha1) * b * vec1[:, s - 1]
+    if np.any(denom == 0):
         raise ZeroDivisionError("vertical coefficient denominator vanished")
-    coeff = -t.coeff * (s - (t.beta / t.alpha) * b * t.vec[s - 1]) / denom
-    return Term(t.index, alpha1, t.beta, coeff, vec1)
-
-
-def _bundle_from_solution(
-    index: int,
-    alpha: complex,
-    x: np.ndarray,
-    roots,
-    bneg: complex,
-    ipos: list[np.ndarray],
-    ineg: np.ndarray,
-    s: int,
-) -> Bundle:
-    """Children of node ``index`` from ``x = (h, c_1..c_s, c_{s+1})``."""
-    d = (index - 1) * (s + 1)
-    pos = [
-        Term(d + r.branch, alpha, r.value, complex(c), v)
-        for r, c, v in zip(roots, x[s : 2 * s], ipos)
-    ]
-    neg = Term(index * (s + 1), alpha, bneg, complex(x[2 * s]), ineg)
-    h = Term(index, alpha, 1 + 0j, 1 + 0j, x[0:s])
-    return Bundle(pos=pos, neg=neg, h=h)
+    coeff = -t.coeff * (s - (t.beta / t.alpha) * b * t.vec[:, s - 1]) / denom
+    return Block(t.index, alpha1, t.beta, coeff, vec1)
 
 
 def horizontal_repair(
-    terms: Sequence[Term],
-    upper: Sequence[bool],
+    terms: Block,
+    upper: np.ndarray,
     p: ModelParams,
     rm: RateMatrices | None = None,
-) -> list[Bundle]:
-    """Repair bundles for vertical terms, upper ones where ``upper`` is true.
+) -> tuple[Block, Block, Block]:
+    """Children of vertical terms, upper ones where ``upper`` is true.
 
-    Each bundle shares its term's alpha with the s + 1 in-disk betas of the
-    two kernels; its coefficients and h-vector solve the ``(2s+1) x (2s+1)``
-    system with unknowns ``h(0..s-1), c_1..c_s, c_{s+1}``.  Rows: the s
-    equations of the ``n = 1`` family, the s of the ``n = 0`` family, and the
-    one surviving tie-breaking equation of the ``n = -1`` family
+    Returns the upper, lower and h-vector blocks.  A term's children share
+    its alpha with the s + 1 in-disk betas of the two kernels; their
+    coefficients and h-vector solve the ``(2s+1) x (2s+1)`` system with
+    unknowns ``h(0..s-1), c_1..c_s, c_{s+1}``.  Rows: the s equations of the
+    ``n = 1`` family, the s of the ``n = 0`` family, and the one surviving
+    tie-breaking equation of the ``n = -1`` family
     ``alpha*s*h(0) + (1+s)*rho*q*h(s-1) - alpha*s*c_{s+1} = rhs``.  An upper
     term is a source on the ``n = 1, 0`` rows, a lower one on ``n = 0, -1``.
 
@@ -262,51 +235,64 @@ def horizontal_repair(
     if rm is None:
         rm = build_rate_matrices(p)
     s = p.s
-    lam = p.arrival_rate
     n = 2 * s + 1
-    alphas = np.array([t.alpha for t in terms], dtype=complex)
-    roots_of = betas_pos(alphas, p)
-    bneg_of = beta_neg(alphas, p)
+    alpha = terms.alpha
+    a3 = alpha[:, None, None]
+    betas = betas_pos(alpha, p)
+    bneg = beta_neg(alpha, p)
+    ipos = eigvec_pos(alpha[:, None], betas, p)  # (k, branch, entry)
+    ineg = eigvec_neg(alpha, bneg, p)
+    G = rm.A_01 + a3 * rm.A_m11
+    M1 = rm.A_1m1 + a3 * rm.A_0m1
+    M2 = rm.B_11 + a3 * rm.B_01
+    cols = ipos.transpose(0, 2, 1)  # column j: the eigenvector of branch j + 1
+
     A = np.zeros((len(terms), n, n), dtype=complex)
+    A[:, 0:s, 0:s] = G
+    A[:, 0:s, s : 2 * s] = -a3 * cols
+    A[:, s : 2 * s, s : 2 * s] = betas[:, None, :] * (M1 @ cols)
+    A[:, s : 2 * s, 0:s] = a3 * rm.B_00
+    A[:, s : 2 * s, 2 * s] = bneg[:, None] * (M2 @ ineg[:, :, None])[:, :, 0]
+    A[:, 2 * s, 0] += alpha * s
+    A[:, 2 * s, s - 1] += p.arrival_rate * p.q
+    A[:, 2 * s, 2 * s] += -alpha * s
+
+    # an upper term is a source through M1, a lower one through M2
+    up = upper[:, None]
+    coeff = terms.coeff[:, None]
+    source = np.where(up[:, :, None], M1, M2) @ terms.vec[:, :, None]
     rhs = np.zeros((len(terms), n), dtype=complex)
-    row_scale = np.empty((len(terms), n))
-    col_scale = np.empty((len(terms), n))
+    rhs[:, 0:s] = np.where(up, coeff * alpha[:, None] * terms.vec, 0)
+    rhs[:, s : 2 * s] = -(coeff * terms.beta[:, None]) * source[:, :, 0]
+    rhs[:, 2 * s] = np.where(upper, 0, terms.coeff * alpha * s)
+
+    aa = np.abs(alpha)[:, None]
     r = np.arange(s)
-    modes = []
-    for i, (t, up, roots, bneg) in enumerate(zip(terms, upper, roots_of, bneg_of)):
-        alpha = t.alpha
-        ipos = [eigvec_pos(alpha, root.value, p) for root in roots]
-        ineg = eigvec_neg(alpha, bneg, p)
-        modes.append((ipos, ineg))
-        G = rm.A_01 + alpha * rm.A_m11
-        M1 = rm.A_1m1 + alpha * rm.A_0m1
-        M2 = rm.B_11 + alpha * rm.B_01
-        a = A[i]
-        a[0:s, 0:s] = G
-        for j in range(s):
-            a[0:s, s + j] = -alpha * ipos[j]
-            a[s : 2 * s, s + j] = roots[j].value * (M1 @ ipos[j])
-        a[s : 2 * s, 0:s] = alpha * rm.B_00
-        a[s : 2 * s, 2 * s] = bneg * (M2 @ ineg)
-        a[2 * s, 0] += alpha * s
-        a[2 * s, s - 1] += lam * p.q
-        a[2 * s, 2 * s] += -alpha * s
-        if up:
-            rhs[i, 0:s] = t.coeff * alpha * t.vec
-            rhs[i, s : 2 * s] = -t.coeff * t.beta * (M1 @ t.vec)
-        else:
-            rhs[i, s : 2 * s] = -t.coeff * t.beta * (M2 @ t.vec)
-            rhs[i, 2 * s] = t.coeff * alpha * s
-        aa = abs(alpha)
-        row = aa ** (-r / s - 1)
-        row_scale[i] = np.concatenate([row, row, [1 / aa]])
-        col_scale[i] = np.concatenate([aa ** ((r + 1) / s), np.ones(s + 1)])
+    row = aa ** (-r / s - 1)
+    row_scale = np.concatenate([row, row, 1 / aa], axis=1)
+    col_scale = np.ones_like(row_scale)
+    col_scale[:, :s] = aa ** ((r + 1) / s)
     scaled = A * row_scale[:, :, None] * col_scale[:, None, :]
     x = solve_checked(scaled, rhs * row_scale, "horizontal repair system") * col_scale
-    return [
-        _bundle_from_solution(t.index, t.alpha, xi, roots, bneg, ipos, ineg, s)
-        for t, xi, roots, bneg, (ipos, ineg) in zip(terms, x, roots_of, bneg_of, modes)
-    ]
+    return _children(terms.index, alpha, x, betas, bneg, ipos, ineg)
+
+
+def _named(level: int, index: np.ndarray, step):
+    """``step(slice(None))``: a repair step on all rows of a tree level.
+
+    A :class:`SedqError` is re-raised as ``level L, node i: ...`` for the
+    first row that fails when run alone (``step(slice(i, i + 1))``); the
+    rows of a step are independent.
+    """
+    try:
+        return step(slice(None))
+    except SedqError:
+        for i, node in enumerate(index.tolist()):
+            try:
+                step(slice(i, i + 1))
+            except SedqError as exc:
+                raise type(exc)(f"level {level}, node {node}: {exc}") from exc
+        raise
 
 
 class TermTree:
@@ -322,84 +308,66 @@ class TermTree:
     def __init__(self, p: ModelParams):
         self.params = p
         self.rm = build_rate_matrices(p)
-        bundle = initial_solution(p, self.rm)
-        s = p.s
-        self.hat_pos: list[Block] = [Block.of(bundle.pos, s)]
-        self.hat_neg: list[Block] = [Block.of([bundle.neg], s)]
-        self.h_vecs: list[Block] = [Block.of([bundle.h], s)]
-        self.tilde_pos: list[Block] = [Block.of([], s)]
-        self.tilde_neg: list[Block] = [Block.of([], s)]
+        pos, neg, h = initial_solution(p, self.rm)
+        self.hat_pos: list[Block] = [pos]
+        self.hat_neg: list[Block] = [neg]
+        self.h_vecs: list[Block] = [h]
+        self.tilde_pos: list[Block] = [Block.join([], p.s)]
+        self.tilde_neg: list[Block] = [Block.join([], p.s)]
         self.passes = 0
         self.pruned = 0
 
-    def _pruned_block(self, terms: list[Term]) -> Block:
-        """Block of ``terms`` without those below the prune floor (counted)."""
-        kept = [t for t in terms if not abs(t.coeff) * abs(t.beta) < PRUNE_FLOOR]
-        self.pruned += len(terms) - len(kept)
-        return Block.of(kept, self.params.s)
+    def _pruned(self, block: Block) -> Block:
+        """``block`` without the rows below the prune floor (counted)."""
+        low = np.abs(block.coeff) * np.abs(block.beta) < PRUNE_FLOOR
+        self.pruned += int(np.count_nonzero(low))
+        return block[~low]
 
-    @staticmethod
-    def _step(fn, level: int, term: Term, *args):
-        """Run one repair step, tagging failures with the tree position."""
-        try:
-            return fn(term, *args)
-        except SedqError as exc:
-            raise type(exc)(f"level {level}, node {term.index}: {exc}") from exc
+    def _repair_level(self, level: int) -> list[Block]:
+        """Upper, lower and h-vector children of every vertical term of ``level``.
 
-    def _repair_level(self, level: int) -> list[Bundle]:
-        """Horizontal bundles for every vertical term of ``level``.
-
-        Upper terms first, then lower, :data:`REPAIR_CHUNK` at a time.  A
-        chunk that fails is re-run one node at a time, so the error names the
-        first failing node.
+        Upper terms first, then lower, :data:`REPAIR_CHUNK` at a time.
         """
         p = self.params
         pos, neg = self.tilde_pos[level], self.tilde_neg[level]
-        terms = [*pos, *neg]
-        upper = [True] * len(pos) + [False] * len(neg)
-        bundles: list[Bundle] = []
+        terms = Block.join([pos, neg], p.s)
+        upper = np.arange(len(terms)) < len(pos)
+        parts = []
         for i in range(0, len(terms), REPAIR_CHUNK):
-            chunk = slice(i, i + REPAIR_CHUNK)
-            try:
-                bundles += horizontal_repair(terms[chunk], upper[chunk], p, self.rm)
-            except SedqError:
-                bundles += [
-                    self._step(_repair_one, level, t, up, p, self.rm)
-                    for t, up in zip(terms[chunk], upper[chunk])
-                ]
-        return bundles
+            chunk, up = terms[i : i + REPAIR_CHUNK], upper[i : i + REPAIR_CHUNK]
+            parts.append(_named(
+                level, chunk.index,
+                lambda rows: horizontal_repair(chunk[rows], up[rows], p, self.rm),
+            ))
+        return [Block.join([part[j] for part in parts], p.s) for j in range(3)]
 
     def ensure_passes(self, L: int) -> None:
         """Grow the tree until ``L`` repair passes are complete."""
         p = self.params
         while self.passes < L:
             k = self.passes + 1
+            level = k // 2
             if k % 2 == 1:
-                parent = k // 2
-                new_pos = [
-                    self._step(vertical_step_pos, parent, t, p)
-                    for t in self.hat_pos[parent]
-                ]
-                new_neg = [
-                    self._step(vertical_step_neg, parent, t, p)
-                    for t in self.hat_neg[parent]
-                ]
-                self.tilde_pos.append(self._pruned_block(new_pos))
-                self.tilde_neg.append(self._pruned_block(new_neg))
-            else:
-                level = k // 2
-                bundles = self._repair_level(level)
-                self.hat_pos.append(
-                    self._pruned_block([t for b in bundles for t in b.pos])
+                pos, neg = self.hat_pos[level], self.hat_neg[level]
+                new_pos = _named(
+                    level, pos.index, lambda rows: vertical_step_pos(pos[rows], p)
                 )
-                self.hat_neg.append(self._pruned_block([b.neg for b in bundles]))
-                self.h_vecs.append(Block.of([b.h for b in bundles], p.s))
+                new_neg = _named(
+                    level, neg.index, lambda rows: vertical_step_neg(neg[rows], p)
+                )
+                self.tilde_pos.append(self._pruned(new_pos))
+                self.tilde_neg.append(self._pruned(new_neg))
+            else:
+                pos, neg, h = self._repair_level(level)
+                self.hat_pos.append(self._pruned(pos))
+                self.hat_neg.append(self._pruned(neg))
+                self.h_vecs.append(h)
             self.passes = k
 
     def max_abs_alpha(self, level: int) -> float:
         """Largest |alpha| over the level (level 0: the initial alpha)."""
         if level == 0:
-            return abs(self.hat_pos[0][0].alpha)
+            return float(abs(self.hat_pos[0].alpha[0]))
         pos, neg = self.tilde_pos[level], self.tilde_neg[level]
         return float(np.abs(np.concatenate([pos.alpha, neg.alpha])).max())
 
@@ -407,11 +375,6 @@ class TermTree:
         """Largest |beta| over the horizontal terms of the level."""
         pos, neg = self.hat_pos[level], self.hat_neg[level]
         return float(np.abs(np.concatenate([pos.beta, neg.beta])).max())
-
-
-def _repair_one(t: Term, up: bool, p: ModelParams, rm: RateMatrices) -> Bundle:
-    """One term's bundle: the node-by-node re-run of a failed chunk."""
-    return horizontal_repair([t], [up], p, rm)[0]
 
 
 def grow_tree(p: ModelParams, L: int) -> TermTree:
@@ -425,7 +388,8 @@ def serialize_tree(tree: TermTree) -> str:
     """One CSV record per term: kind, level, index, complex parts, vector.
 
     Horizontal-vector records (kind ``h``) leave the beta and coefficient
-    columns empty and carry the h entries in the vector columns.
+    columns empty and carry the h entries in the vector columns.  Each block
+    is formatted by one template repeated once per row.
     """
     buf = io.StringIO()
     s = tree.params.s
@@ -434,17 +398,18 @@ def serialize_tree(tree: TermTree) -> str:
         "kind,level,index,alpha_re,alpha_im,beta_re,beta_im,"
         f"coeff_re,coeff_im,{vec_cols}\n"
     )
-
-    def cplx(*zs) -> str:
-        return ",".join(f"{z.real:.17g},{z.imag:.17g}" for z in zs)
-
+    pair = "%.17g,%.17g"
     for kind in ("hat_pos", "hat_neg", "tilde_pos", "tilde_neg", "h_vecs"):
         for level, block in enumerate(getattr(tree, kind)):
-            for t in block:
-                if kind == "h_vecs":
-                    head = f"h,{level},{t.index},{cplx(t.alpha)},,,,"
-                else:
-                    parts = cplx(t.alpha, t.beta, t.coeff)
-                    head = f"{kind},{level},{t.index},{parts}"
-                buf.write(f"{head},{cplx(*t.vec)}\n")
+            if kind == "h_vecs":
+                head, parts = f"h,{level},%d,{pair},,,,", [block.alpha]
+            else:
+                head = f"{kind},{level},%d,{pair},{pair},{pair}"
+                parts = [block.alpha, block.beta, block.coeff]
+            cplx = np.column_stack([*parts, block.vec])
+            reim = np.stack([cplx.real, cplx.imag], axis=-1)  # re, im side by side
+            reim = reim.reshape(len(cplx), 2 * cplx.shape[1])
+            cols = np.column_stack([block.index, reim])
+            line = head + "," + ",".join([pair] * s) + "\n"
+            buf.write((line * len(block)) % tuple(cols.ravel().tolist()))
     return buf.getvalue()

@@ -27,7 +27,7 @@ b^2*B_11``.  Writing ``fp, fm`` for the two roots of ``s*x^2 +
 (b - (1+s)(rho+1))*x + (1+s)*rho = 0``, its determinant reduces (by the
 Waring power-sum identity) to
 
-    a^2*s^s + b^2*((1+s)*rho)^s - a*b*s^s*(fp(b)^s + fm(b)^s) = 0,
+    a^2*s^s + b^2*((1+s)*rho)^s - a*b*W(b) = 0,   W(x) = s^s*(fp(x)^s + fm(x)^s),
 
 which is polynomial in both variables and owns exactly one in-disk root on
 each side.
@@ -39,19 +39,19 @@ polish with a few complex Newton steps, and certify the in-disk count with an
 argument-principle winding number over the disk boundary.  Violations raise
 :class:`~sedq.errors.RootCountMismatch` rather than being repaired silently.
 
-:func:`betas_pos` and :func:`beta_neg` also take a 1-D array of alphas, as
-the horizontal repair of a whole tree level does: all counts are certified
-in one evaluation over :data:`CONTOUR` and the companion matrices go to one
-stacked ``eigvals`` call per size.  The Newton polish stays a scalar loop
-per root (numpy array arithmetic may fuse multiply-adds and would move the
-last bits), so a root from a stack equals the root found alone.
+Every function takes a scalar or an array through one numpy implementation.
+:func:`betas_pos` and :func:`beta_neg` take a scalar alpha or a 1-D stack:
+the stack is certified in one contour evaluation, seeded by one ``eigvals``
+call per companion size and polished by one masked Newton iteration over all
+its roots.  The vertical roots and the eigenvectors broadcast their
+arguments.  The arithmetic is elementwise, so a scalar call returns the bits
+of its row in a stack.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -60,7 +60,6 @@ from .errors import DegenerateEigenvector, DegenerateQuadratic, RootCountMismatc
 from .model import ModelParams, RateMatrices, build_rate_matrices
 
 __all__ = [
-    "BranchedRoot",
     "det_pos",
     "det_neg",
     "branch_value_pos",
@@ -87,16 +86,8 @@ CONTOUR_POINTS = 2048
 CONTOUR = np.exp(1j * np.linspace(0.0, 2 * np.pi, CONTOUR_POINTS + 1))
 #: polynomials per contour evaluation in :func:`winding_count` (bounds memory)
 CONTOUR_ROWS = 4
-#: Newton steps per start in :func:`_branch_newton_z`
+#: Newton steps per start in :func:`_branch_newton`
 NEWTON_STEPS = 60
-
-
-@dataclass(frozen=True)
-class BranchedRoot:
-    """One in-disk kernel root with its branch label."""
-
-    value: complex
-    branch: int
 
 
 def _ab(p: ModelParams) -> tuple[float, float]:
@@ -104,11 +95,46 @@ def _ab(p: ModelParams) -> tuple[float, float]:
     return (1 + p.s) * (p.rho + 1), (1 + p.s) * p.rho
 
 
-def principal_root(z: complex, s: int) -> complex:
-    """Principal s-th root, branch cut on the negative real axis."""
-    if z == 0:
-        return 0.0 + 0.0j
-    return complex(np.exp(np.log(complex(z)) / s))
+def _stackable(fn):
+    """``fn`` on complex arrays of at least one dimension, then ``p``.
+
+    With scalar arguments only, the result is row 0.  numpy computes on
+    scalars with other code than on arrays, so this is what gives a scalar
+    call the bits of its row in a stack.
+    """
+
+    @functools.wraps(fn)
+    def run(*args):
+        *xs, p = args
+        out = fn(*(np.atleast_1d(np.asarray(x, dtype=complex)) for x in xs), p)
+        return out if any(np.ndim(x) for x in xs) else out[0]
+
+    return run
+
+
+def _nonzero(alpha: np.ndarray, beta: np.ndarray, what: str) -> None:
+    if np.any(alpha == 0) or np.any(beta == 0):
+        raise ZeroDivisionError(f"{what} undefined at alpha = 0 or beta = 0")
+
+
+def _in_disk(x: np.ndarray, name: str) -> None:
+    bad = ~((np.abs(x) > 0) & (np.abs(x) < 1))
+    if np.any(bad):
+        raise RootCountMismatch(
+            f"need 0 < |{name}| < 1, got |{name}| = {abs(x[bad][0])}"
+        )
+
+
+def _check_residual(det, scale) -> None:
+    """Raise unless ``|det| <= ROOT_RTOL * scale`` wherever ``scale > 0``."""
+    if np.any((scale > 0) & (np.abs(det) > ROOT_RTOL * scale)):
+        raise RootCountMismatch("root residual exceeds tolerance")
+
+
+def principal_root(z, s: int):
+    """Principal s-th root, branch cut on the negative real axis (0 at 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.exp(np.log(np.asarray(z, dtype=complex)) / s)
 
 
 def roots_of_unity(s: int) -> np.ndarray:
@@ -116,32 +142,30 @@ def roots_of_unity(s: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(1, s + 1) / s)
 
 
-def det_pos(alpha: complex, beta: complex, p: ModelParams) -> complex:
+def det_pos(alpha, beta, p: ModelParams):
     """Determinant of the upper-quadrant kernel matrix, in closed form."""
     a, b = _ab(p)
     core = alpha * beta * a - beta * beta * b - alpha * alpha
     return core**p.s - beta * (alpha * beta * p.s) ** p.s
 
 
-def _det_pos_scale(alpha: complex, beta: complex, p: ModelParams) -> float:
+def _det_pos_scale(alpha, beta, p: ModelParams):
     a, b = _ab(p)
     aa, bb = abs(alpha), abs(beta)
     return (aa * bb * a + bb * bb * b + aa * aa) ** p.s + bb * (aa * bb * p.s) ** p.s
 
 
-def branch_value_pos(
-    alpha: complex, beta: complex, branch: int, p: ModelParams
-) -> complex:
+@_stackable
+def branch_value_pos(alpha, beta, branch: int, p: ModelParams):
     """Residual of branch equation ``branch`` (1-based) at ``(alpha, beta)``."""
-    if alpha == 0 or beta == 0:
-        raise ZeroDivisionError("branch equation undefined at alpha = 0 or beta = 0")
+    _nonzero(alpha, beta, "branch equation")
     a, b = _ab(p)
     u = np.exp(2j * np.pi * branch / p.s)
     core = alpha * beta * a - beta * beta * b - alpha * alpha
     return core / (alpha * beta * p.s) - u * principal_root(beta, p.s)
 
 
-def f_pm(beta: complex, p: ModelParams) -> tuple[complex, complex]:
+def f_pm(beta, p: ModelParams):
     """The two roots of ``s*x^2 + (beta - (1+s)(rho+1))*x + (1+s)*rho = 0``.
 
     Vieta: ``fp*fm = (1+s)*rho/s`` and ``fp + fm = ((1+s)(rho+1) - beta)/s``.
@@ -149,32 +173,43 @@ def f_pm(beta: complex, p: ModelParams) -> tuple[complex, complex]:
     """
     a, b = _ab(p)
     s = p.s
-    disc = np.sqrt(complex((beta - a) ** 2 - 4 * s * b))
-    fp = (a - beta + disc) / (2 * s)
-    fm = (a - beta - disc) / (2 * s)
-    return complex(fp), complex(fm)
+    disc = np.sqrt(np.asarray((beta - a) ** 2 - 4 * s * b, dtype=complex))
+    return (a - beta + disc) / (2 * s), (a - beta - disc) / (2 * s)
 
 
-def _waring_power_sum_coeffs(alpha: complex, p: ModelParams) -> np.ndarray:
-    """Coefficients in ``z`` of ``s^s * (fp(alpha*z)^s + fm(alpha*z)^s)``.
+@functools.lru_cache(maxsize=64)
+def _waring(p: ModelParams) -> np.ndarray:
+    """Coefficients in ``x`` of ``W(x) = s^s * (fp(x)^s + fm(x)^s)``.
 
     Power sums of the two quadratic roots are symmetric, so the square root
-    drops out and the result is a polynomial:
-    ``sum_i (-1)^i * s/(s-i) * C(s-i, i) * (s*b)^i * (a - alpha*z)^(s-2i)``.
+    drops out and the result is a polynomial, built once per ``p``:
+    ``sum_i (-1)^i * s/(s-i) * C(s-i, i) * (s*b)^i * (a - x)^(s-2i)``.
     """
     a, b = _ab(p)
     s = p.s
-    total = np.zeros(s + 1, dtype=complex)
+    total = np.zeros(s + 1)
     for i in range(s // 2 + 1):
         coeff = (-1) ** i * (s / (s - i)) * math.comb(s - i, i) * (s * b) ** i
-        term = coeff * npoly.polypow(np.array([a, -alpha], dtype=complex), s - 2 * i)
+        term = coeff * npoly.polypow([a, -1.0], s - 2 * i)
         total[: term.size] += term
+    total.flags.writeable = False
     return total
 
 
-def det_neg(alpha: complex, beta: complex, p: ModelParams) -> complex:
+def _horner(coeffs: np.ndarray, x):
+    """The polynomial ``coeffs`` (lowest degree first) at ``x``.
+
+    A ``(k, n)`` stack of polynomials is evaluated row ``i`` at ``x[i]``.
+    """
+    val = 0
+    for c in np.moveaxis(coeffs, -1, 0)[::-1]:
+        val = val * x + c
+    return val
+
+
+def det_neg(alpha, beta, p: ModelParams):
     """Waring-simplified determinant of the lower-quadrant kernel matrix."""
-    a, b = _ab(p)
+    _, b = _ab(p)
     s = p.s
     fp, fm = f_pm(beta, p)
     return (
@@ -184,8 +219,8 @@ def det_neg(alpha: complex, beta: complex, p: ModelParams) -> complex:
     )
 
 
-def _det_neg_scale(alpha: complex, beta: complex, p: ModelParams) -> float:
-    b = (1 + p.s) * p.rho
+def _det_neg_scale(alpha, beta, p: ModelParams):
+    _, b = _ab(p)
     s = p.s
     fp, fm = f_pm(beta, p)
     aa, bb = abs(alpha), abs(beta)
@@ -194,23 +229,6 @@ def _det_neg_scale(alpha: complex, beta: complex, p: ModelParams) -> float:
         + bb * bb * b**s
         + aa * bb * s**s * (abs(fp) ** s + abs(fm) ** s)
     )
-
-
-def _trim_leading(coeffs: np.ndarray, min_degree: int) -> np.ndarray:
-    """Drop top coefficients that are negligible next to the largest one.
-
-    Deep in the tree the highest powers carry factors like ``alpha^s`` and
-    become many orders smaller than the rest; their roots sit far outside
-    the unit disk and are irrelevant, but the grading wrecks the companion
-    matrix.  Trimmed roots only seed a Newton polish against the full
-    polynomial (or branch equation), so the cut can be aggressive.
-    """
-    mags = np.abs(coeffs)
-    top = float(np.max(mags))
-    keep = len(coeffs)
-    while keep - 1 > min_degree and mags[keep - 1] < 1e-20 * top:
-        keep -= 1
-    return coeffs[:keep]
 
 
 def winding_count(coeffs: np.ndarray, radius: float) -> int | np.ndarray:
@@ -245,28 +263,28 @@ def winding_count(coeffs: np.ndarray, radius: float) -> int | np.ndarray:
     return int(counts[0]) if coeffs.ndim == 1 else counts
 
 
-def _companion_roots(polys: list[np.ndarray]) -> list[np.ndarray]:
-    """``npoly.polyroots`` of each polynomial, bit for bit.
+def _companion_roots(coeffs: np.ndarray, min_degree: int) -> np.ndarray:
+    """Roots of each row polynomial of ``coeffs``, padded with nan.
 
-    Companion matrices of one size share a single stacked ``eigvals`` call;
-    LAPACK sees each matrix exactly as it would alone.
+    Top coefficients below 1e-20 of a row's largest are dropped first (down
+    to ``min_degree``): deep in the tree the highest powers carry factors
+    like ``alpha^s``, their roots sit far outside the unit disk, and the
+    grading wrecks the companion matrix.  The roots only seed a Newton
+    polish against the full equation, so the cut can be aggressive.  Rows of
+    one trimmed size share one stacked ``eigvals`` call.
     """
-    out: list[np.ndarray | None] = [None] * len(polys)
-    by_size: dict[int, list[int]] = {}
-    for i, c in enumerate(polys):
-        if len(c) < 3 or c[-1] == 0:  # polyroots trims and special-cases these
-            out[i] = npoly.polyroots(c)
-        else:
-            by_size.setdefault(len(c), []).append(i)
-    for size, idx in by_size.items():
-        c = np.array([polys[i] for i in idx])
-        n = size - 1
-        mat = np.zeros((len(idx), n, n), dtype=c.dtype)
-        mat[:, np.arange(1, n), np.arange(n - 1)] = 1
+    k, n = coeffs.shape
+    mags = np.abs(coeffs)
+    big = mags >= 1e-20 * mags.max(axis=1, keepdims=True)
+    sizes = np.maximum(n - np.argmax(big[:, ::-1], axis=1), min_degree + 1)
+    out = np.full((k, n - 1), np.nan, dtype=complex)
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        c = coeffs[rows, :size]
+        mat = np.zeros((len(rows), size - 1, size - 1), dtype=complex)
+        mat[:, np.arange(1, size - 1), np.arange(size - 2)] = 1
         mat[:, :, -1] -= c[:, :-1] / c[:, -1:]
-        roots = np.sort(np.linalg.eigvals(mat), axis=-1)
-        for i, r in zip(idx, roots):
-            out[i] = r
+        out[rows, : size - 1] = np.linalg.eigvals(mat)
     return out
 
 
@@ -278,8 +296,8 @@ def v_ratio_roots(p: ModelParams) -> tuple[float, float]:
     return (1.0 / b) / v_plus, v_plus
 
 
-def _check_distinct(values: np.ndarray, radius: float, s: int) -> None:
-    """Pairwise separation check, scaled by the expected branch splitting.
+def _check_distinct(values: np.ndarray, radius: np.ndarray, s: int) -> None:
+    """Pairwise separation check of each row, scaled by the branch splitting.
 
     The s in-disk roots coalesce as the disk shrinks: their genuine
     separation scales like ``radius^(1 + 1/s)`` (the branches split at order
@@ -287,19 +305,17 @@ def _check_distinct(values: np.ndarray, radius: float, s: int) -> None:
     threshold is therefore taken relative to that scale, so the check keeps
     flagging true double roots without tripping on deep, healthy levels.
     """
+    gap = np.abs(values[:, :, None] - values[:, None, :])
     scale = radius ** (1 + 1 / s)
-    n = len(values)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= DISTINCT_ATOL * scale:
-                raise RootCountMismatch(
-                    f"in-disk roots {values[i]} and {values[j]} coincide"
-                )
+    close = np.triu(gap <= DISTINCT_ATOL * scale[:, None, None], 1)
+    if np.any(close):
+        i, j, k = np.argwhere(close)[0]
+        raise RootCountMismatch(
+            f"in-disk roots {values[i, j]} and {values[i, k]} coincide"
+        )
 
 
-def _branch_residual_z(
-    z: complex, sigma: complex, a: float, b: float, s: int
-) -> tuple[complex, complex]:
+def _branch_residual_z(z, sigma, a: float, b: float, s: int):
     """Scaled branch residual in ``z = beta/alpha`` and its derivative.
 
     The branch equations are labelled through ``sigma = u_i * alpha^(1/s)``
@@ -318,118 +334,89 @@ def _branch_residual_z(
     return r, dr
 
 
-def _branch_newton_z(
-    starts: list[complex], sigma: complex, p: ModelParams
-) -> complex | None:
-    """First start from which Newton lands on an in-disk branch root.
+def _branch_newton(starts: np.ndarray, sigma: np.ndarray, p: ModelParams):
+    """Newton on the branch equations from every start at once.
 
-    Each start runs :data:`NEWTON_STEPS` steps unless the step falls below
-    1e-16 relative.  Near a root the iterate often cycles between
-    neighbouring floats instead; the step is a pure function of ``z``, so
-    once an iterate repeats the walk is periodic, no stop test can fire any
-    more, and the iterate the full walk would end on is read off the cycle.
+    ``sigma`` broadcasts against ``starts``.  An entry stops once
+    ``|step| <= 1e-15*|z|``, when the step is not finite, or after
+    :data:`NEWTON_STEPS` steps.  Returns the final iterates and which of
+    them are in-disk branch roots to a relative 1e-12.
     """
     a, b = _ab(p)
     s = p.s
-    for start in starts:
-        z = complex(start)
-        seen: dict[complex, int] = {}
-        walk = [z]
-        for i in range(1, NEWTON_STEPS + 1):
-            if z == 0 or not cmath.isfinite(z):
+    z = starts.ravel().copy()
+    sigma = np.broadcast_to(sigma, starts.shape).ravel()
+    live = np.flatnonzero(np.isfinite(z) & (z != 0))
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_STEPS):
+            if not live.size:
                 break
-            r, dr = _branch_residual_z(z, sigma, a, b, s)
+            r, dr = _branch_residual_z(z[live], sigma[live], a, b, s)
             step = r / dr
-            if not cmath.isfinite(step):
-                break
-            z = z - step
-            if abs(step) < 1e-16 * abs(z):
-                break
-            # from step 1 on z is a numpy scalar; its bytes tell -0.0 from 0.0
-            j = seen.setdefault(z, i)
-            if j < i and walk[j].tobytes() == z.tobytes():
-                z = walk[j + (NEWTON_STEPS - j) % (i - j)]
-                break
-            walk.append(z)
-        if z == 0 or not cmath.isfinite(z) or abs(z) >= 1.0:
-            continue
+            moved = np.isfinite(step)
+            z[live[moved]] -= step[moved]
+            live = live[moved & (np.abs(step) > 1e-15 * np.abs(z[live]))]
         r, _ = _branch_residual_z(z, sigma, a, b, s)
-        zroot = principal_root(z, s)
-        scale = a / s + abs(b * z / s) + abs(1 / (s * z)) + abs(sigma * zroot)
-        if abs(r) <= 1e-12 * scale:
-            return z
-    return None
+        scale = a / s + np.abs(b * z / s) + np.abs(1 / (s * z))
+        scale += np.abs(sigma * principal_root(z, s))
+        ok = np.isfinite(z) & (z != 0) & (np.abs(z) < 1.0)
+        ok &= np.abs(r) <= 1e-12 * scale
+    return z.reshape(starts.shape), ok.reshape(starts.shape)
 
 
-def _alphas(alpha) -> list[complex]:
-    """The alphas of a scalar or 1-D stack as Python complex, checked in-disk."""
-    alphas = [complex(x) for x in np.atleast_1d(alpha)]
-    for x in alphas:
-        if not 0 < abs(x) < 1:
-            raise RootCountMismatch(f"need 0 < |alpha| < 1, got |alpha| = {abs(x)}")
-    return alphas
-
-
-def betas_pos(alpha, p: ModelParams) -> list[BranchedRoot] | list[list[BranchedRoot]]:
+@_stackable
+def betas_pos(alpha, p: ModelParams) -> np.ndarray:
     """The s roots of the positive kernel inside ``|beta| < |alpha|``.
 
-    ``alpha`` is a scalar, or a 1-D array for one list of roots per entry.
-    The in-disk count is certified by the winding number of the determinant
-    (in ``z = beta/alpha``) over the unit circle; each root is then located
-    on its own branch equation by Newton.  Companion-matrix eigenvalues seed
+    ``alpha`` is a scalar, giving shape ``(s,)``, or a 1-D stack, giving
+    ``(k, s)``; column ``j`` is the root of branch ``j + 1``.  The in-disk
+    count is certified by the winding number of the determinant (in
+    ``z = beta/alpha``) over the unit circle; each root is then located on
+    its own branch equation by Newton.  Companion-matrix eigenvalues seed
     the iteration, backed by the small-alpha asymptotic start
     ``z = v- + s*sigma*v-^(1+1/s) / (b*(v+ - v-))``: the in-disk roots
     coalesce at ``v-`` as alpha shrinks, which starves the companion matrix
-    of accuracy exactly where the asymptotics turn sharp.  A stack is
-    certified in one contour evaluation and seeded by one ``eigvals`` call.
+    of accuracy exactly where the asymptotics turn sharp.  Each branch runs
+    Newton from the two in-disk seeds nearest its asymptotic start and from
+    that start, and takes the first that lands on an in-disk root.
     """
-    alphas = _alphas(alpha)
+    _in_disk(alpha, "alpha")
     a, b = _ab(p)
     s = p.s
     # determinant in z = beta/alpha:  (a*z - b*z^2 - 1)^s - alpha*s^s*z^(s+1)
-    coeffs = np.zeros((len(alphas), 2 * s + 2), dtype=complex)
-    coeffs[:, : 2 * s + 1] = npoly.polypow(np.array([-1.0, a, -b], dtype=complex), s)
-    coeffs[:, s + 1] -= np.array([x * s**s for x in alphas])
+    coeffs = np.zeros((len(alpha), 2 * s + 2), dtype=complex)
+    coeffs[:, : 2 * s + 1] = npoly.polypow(np.array([-1.0, a, -b]), s)
+    coeffs[:, s + 1] -= alpha * s**s
     if np.any(winding_count(coeffs, 1.0) != s):
         raise RootCountMismatch(
             f"positive kernel does not have exactly {s} roots inside the disk"
         )
-    z_roots = _companion_roots([_trim_leading(c, 2) for c in coeffs])
-    out = [
-        _branch_roots(x, list(z[np.abs(z) < 1.0]), p) for x, z in zip(alphas, z_roots)
-    ]
-    return out if np.ndim(alpha) else out[0]
-
-
-def _branch_roots(alpha: complex, seeds: list, p: ModelParams) -> list[BranchedRoot]:
-    """One Newton-polished root per branch at ``alpha``, seeded by ``seeds``."""
-    _, b = _ab(p)
-    s = p.s
+    seeds = _companion_roots(coeffs, 2)
+    seeds[~(np.abs(seeds) < 1.0)] = np.nan
     v_minus, v_plus = v_ratio_roots(p)
-    aroot = principal_root(alpha, s)
-    out = []
-    for branch, u in enumerate(roots_of_unity(s), start=1):
-        sigma = u * aroot
-        asymptotic = v_minus + (
-            s * sigma * v_minus ** (1 + 1 / s) / (b * (v_plus - v_minus))
+    sigma = principal_root(alpha, s)[:, None] * roots_of_unity(s)
+    asymptotic = v_minus + s * sigma * v_minus ** (1 + 1 / s) / (b * (v_plus - v_minus))
+    # argsort puts nan (no seed) last
+    gap = np.abs(seeds[:, None, :] - asymptotic[:, :, None])
+    near = np.argsort(gap, axis=-1, kind="stable")[:, :, :2]
+    nearest = np.take_along_axis(seeds[:, None, :], near, -1)
+    starts = np.concatenate([nearest, asymptotic[:, :, None]], axis=-1)
+    z, ok = _branch_newton(starts, sigma[:, :, None], p)
+    if not np.all(ok.any(axis=-1)):
+        i, j = np.argwhere(~ok.any(axis=-1))[0]
+        raise RootCountMismatch(
+            f"no in-disk root found on branch {j + 1} at alpha = {alpha[i]}"
         )
-        starts = sorted(seeds, key=lambda z: abs(z - asymptotic))[:2]
-        starts.append(asymptotic)
-        z = _branch_newton_z(starts, sigma, p)
-        if z is None:
-            raise RootCountMismatch(
-                f"no in-disk root found on branch {branch} at alpha = {alpha}"
-            )
-        beta = alpha * z
-        scale = _det_pos_scale(alpha, beta, p)
-        if scale > 0 and abs(det_pos(alpha, beta, p)) > ROOT_RTOL * scale:
-            raise RootCountMismatch("root residual exceeds tolerance")
-        out.append(BranchedRoot(value=complex(beta), branch=branch))
-    _check_distinct(np.array([r.value for r in out]), abs(alpha), s)
-    return out
+    z = np.take_along_axis(z, np.argmax(ok, axis=-1)[:, :, None], -1)[:, :, 0]
+    a2 = alpha[:, None]
+    beta = a2 * z
+    _check_residual(det_pos(a2, beta, p), _det_pos_scale(a2, beta, p))
+    _check_distinct(beta, np.abs(alpha), s)
+    return beta
 
 
-def partner_alpha_pos(alpha: complex, beta: complex, p: ModelParams) -> complex:
+@_stackable
+def partner_alpha_pos(alpha, beta, p: ModelParams):
     """The second root of the branch quadratic in alpha.
 
     For fixed ``beta`` the branch equation is quadratic in alpha with root
@@ -440,159 +427,138 @@ def partner_alpha_pos(alpha: complex, beta: complex, p: ModelParams) -> complex:
     independent of how the branch index is labelled.  The two roots straddle
     ``|beta|`` and share their eigenvector.
     """
-    if alpha == 0 or beta == 0:
-        raise ZeroDivisionError("partner root undefined at alpha = 0 or beta = 0")
+    _nonzero(alpha, beta, "partner root")
     a, b = _ab(p)
     s = p.s
     c = (a * alpha * beta - b * beta * beta - alpha * alpha) / (alpha * beta * s)
     other = beta * beta * b / alpha
-    # one Newton step on x^2 - x*beta*(a - s*c) + beta^2*b keeps chains tight
+    # Newton steps on x^2 - x*beta*(a - s*c) + beta^2*b keep chains tight
     lin = beta * (a - s * c)
-    for _ in range(2):
-        val = other * other - other * lin + beta * beta * b
-        der = 2 * other - lin
-        if der == 0 or not np.isfinite(val / der):
-            break
-        other = other - val / der
-    if abs(other - alpha) <= DISTINCT_ATOL * max(abs(alpha), abs(other)):
+    moving = np.ones(other.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            step = (other * other - other * lin + beta * beta * b) / (2 * other - lin)
+            moving &= np.isfinite(step)
+            other = np.where(moving, other - step, other)
+    size = np.maximum(np.abs(alpha), np.abs(other))
+    close = np.abs(other - alpha) <= DISTINCT_ATOL * size
+    if np.any(close):
         raise DegenerateQuadratic(
-            f"branch quadratic has a double root near alpha = {alpha}"
+            f"branch quadratic has a double root near alpha = {alpha[close][0]}"
         )
-    return complex(other)
+    return other
 
 
-def beta_neg(alpha, p: ModelParams) -> complex | list[complex]:
+@_stackable
+def beta_neg(alpha, p: ModelParams):
     """The unique root of the negative kernel inside ``|beta| < |alpha|``.
 
     ``alpha`` is a scalar, or a 1-D array for one root per entry (certified
     and seeded together, as in :func:`betas_pos`).
     """
-    alphas = _alphas(alpha)
-    b = (1 + p.s) * p.rho
+    _in_disk(alpha, "alpha")
+    _, b = _ab(p)
     s = p.s
     # determinant in z = beta/alpha:  s^s + b^s*z^2 - z*W(alpha*z)
-    # where W is the Waring power-sum polynomial of the f roots.
-    coeffs = np.zeros((len(alphas), max(3, s + 2)), dtype=complex)
+    coeffs = np.zeros((len(alpha), max(3, s + 2)), dtype=complex)
     coeffs[:, 0] = s**s
     coeffs[:, 2] += b**s
-    for row, x in zip(coeffs, alphas):
-        w = _waring_power_sum_coeffs(x, p)
-        row[1 : 1 + w.size] -= w
+    coeffs[:, 1 : s + 2] -= _waring(p) * alpha[:, None] ** np.arange(s + 1)
     if np.any(winding_count(coeffs, 1.0) != 1):
         raise RootCountMismatch(
             "negative kernel does not have exactly one root inside the disk"
         )
-    z_roots = _companion_roots([_trim_leading(c, 2) for c in coeffs])
-    dcoeffs = npoly.polyder(coeffs, axis=1)
-    out = [
-        _polish_neg(x, c, dc, z, p)
-        for x, c, dc, z in zip(alphas, coeffs, dcoeffs, z_roots)
-    ]
-    return out if np.ndim(alpha) else out[0]
-
-
-def _polish_neg(
-    alpha: complex,
-    coeffs: np.ndarray,
-    dcoeffs: np.ndarray,
-    z_roots: np.ndarray,
-    p: ModelParams,
-) -> complex:
-    """The in-disk root among ``z_roots``, polished on ``coeffs``, as beta."""
-    inside = z_roots[np.abs(z_roots) < 1.0]
-    if len(inside) != 1:
+    roots = _companion_roots(coeffs, 2)
+    inside = np.abs(roots) < 1.0
+    found = inside.sum(axis=1)
+    if np.any(found != 1):
         raise RootCountMismatch(
-            f"expected 1 in-disk root, companion matrix found {len(inside)}"
+            f"expected 1 in-disk root, companion matrix found {found[found != 1][0]}"
         )
-    z = complex(inside[0])
-    for _ in range(4):
-        step = npoly.polyval(z, coeffs) / npoly.polyval(z, dcoeffs)
-        if not np.isfinite(step):
-            break
-        z -= step
-        if abs(step) < 1e-16 * abs(z):
-            break
+    z = roots[inside]
+    dcoeffs = npoly.polyder(coeffs, axis=1)
+    moving = np.ones(len(z), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(4):
+            step = _horner(coeffs, z) / _horner(dcoeffs, z)
+            moving &= np.isfinite(step)
+            z = np.where(moving, z - step, z)
+            moving &= np.abs(step) >= 1e-16 * np.abs(z)
     beta = alpha * z
-    scale = _det_neg_scale(alpha, beta, p)
-    if scale > 0 and abs(det_neg(alpha, beta, p)) > ROOT_RTOL * scale:
-        raise RootCountMismatch("root residual exceeds tolerance")
-    return complex(beta)
+    _check_residual(det_neg(alpha, beta, p), _det_neg_scale(alpha, beta, p))
+    return beta
 
 
-def alpha_neg(beta: complex, p: ModelParams) -> complex:
+@_stackable
+def alpha_neg(beta, p: ModelParams):
     """The unique root of the negative kernel inside ``|alpha| < |beta|``.
 
     In ``z = alpha/beta`` the determinant is the quadratic
     ``s^s*z^2 - W(beta)*z + b^s`` with constant power-sum term, solved in
     closed form.
     """
-    if not 0 < abs(beta) < 1:
-        raise RootCountMismatch(f"need 0 < |beta| < 1, got |beta| = {abs(beta)}")
-    b = (1 + p.s) * p.rho
+    _in_disk(beta, "beta")
+    _, b = _ab(p)
     s = p.s
-    beta = complex(beta)
-    w = complex(npoly.polyval(beta, _waring_power_sum_coeffs(1.0, p)))
+    w = _horner(_waring(p), beta)
     disc = np.sqrt(w * w - 4 * s**s * b**s)
-    # evaluate the numerically stable root first, partner via Vieta
-    z1 = (w + disc) / (2 * s**s)
-    if abs(z1) < abs(w - disc) / (2 * s**s):
-        z1 = (w - disc) / (2 * s**s)
+    # take the numerically stable root first, its partner via Vieta
+    z1, z2 = (w + disc) / (2 * s**s), (w - disc) / (2 * s**s)
+    z1 = np.where(np.abs(z1) < np.abs(z2), z2, z1)
     z2 = (b**s / s**s) / z1
-    inside = [z for z in (z1, z2) if abs(z) < 1.0]
-    if len(inside) != 1:
+    found = (np.abs(z1) < 1.0).astype(int) + (np.abs(z2) < 1.0)
+    if np.any(found != 1):
         raise RootCountMismatch(
-            f"expected 1 in-disk root of the negative kernel, found {len(inside)}"
+            "expected 1 in-disk root of the negative kernel, "
+            f"found {found[found != 1][0]}"
         )
-    alpha = beta * inside[0]
-    scale = _det_neg_scale(alpha, beta, p)
-    if scale > 0 and abs(det_neg(alpha, beta, p)) > ROOT_RTOL * scale:
-        raise RootCountMismatch("root residual exceeds tolerance")
-    return complex(alpha)
+    alpha = beta * np.where(np.abs(z1) < 1.0, z1, z2)
+    _check_residual(det_neg(alpha, beta, p), _det_neg_scale(alpha, beta, p))
+    return alpha
 
 
-def eigvec_pos(alpha: complex, beta: complex, p: ModelParams) -> np.ndarray:
+@_stackable
+def eigvec_pos(alpha, beta, p: ModelParams) -> np.ndarray:
     """Eigenvector of the positive kernel, normalized to entry 0 = 1.
 
     Entries are geometric: entry ``r`` equals ``ratio^r`` with ``ratio`` the
     common branch value; on branch ``i`` this is ``(u_i * beta^(1/s))^r``.
+    The arguments broadcast; the entries are the last axis.
     """
-    if alpha == 0 or beta == 0:
-        raise ZeroDivisionError("eigenvector undefined at alpha = 0 or beta = 0")
+    _nonzero(alpha, beta, "eigenvector")
     a, b = _ab(p)
     ratio = (alpha * beta * a - beta * beta * b - alpha * alpha) / (alpha * beta * p.s)
-    return ratio ** np.arange(p.s)
+    return ratio[..., None] ** np.arange(p.s)
 
 
-def eigvec_neg(alpha: complex, beta: complex, p: ModelParams) -> np.ndarray:
+@_stackable
+def eigvec_neg(alpha, beta, p: ModelParams) -> np.ndarray:
     """Eigenvector of the negative kernel, normalized to entry 0 = 1.
 
     Built from the two geometric modes ``fp^r`` and ``fm^r`` mixed through
     ``F(x) = (1+s)*rho*x^(-1)*((beta/alpha)*x^s - 1)``; the mix is symmetric
     in the two modes, so the square-root branch inside ``f_pm`` cancels.
+    The arguments broadcast; the entries are the last axis.
     """
-    if alpha == 0 or beta == 0:
-        raise ZeroDivisionError("eigenvector undefined at alpha = 0 or beta = 0")
-    b = (1 + p.s) * p.rho
+    _nonzero(alpha, beta, "eigenvector")
+    _, b = _ab(p)
     s = p.s
-    out = np.ones(s, dtype=complex)
     if s == 1:
-        return out
+        return np.ones(np.broadcast(alpha, beta).shape + (1,), dtype=complex)
     fp, fm = f_pm(beta, p)
     ratio = beta / alpha
-
-    def func(x: complex) -> complex:
-        return b / x * (ratio * x**s - 1)
-
-    Fp, Fm = func(fp), func(fm)
+    Fp = b / fp * (ratio * fp**s - 1)
+    Fm = b / fm * (ratio * fm**s - 1)
     denom = Fm - Fp
     # a double mode costs sqrt(eps) accuracy in fp - fm, hence the threshold;
     # it can only happen at |beta| >= 1, outside the kernel-root domain
-    if abs(denom) <= 1e-7 * (abs(Fm) + abs(Fp)):
+    if np.any(np.abs(denom) <= 1e-7 * (np.abs(Fm) + np.abs(Fp))):
         raise DegenerateEigenvector(
             "the two geometric modes of the negative eigenvector coincide"
         )
     r = np.arange(s)
-    return (Fm * fp**r - Fp * fm**r) / denom
+    Fp, Fm, denom = Fp[..., None], Fm[..., None], denom[..., None]
+    return (Fm * fp[..., None] ** r - Fp * fm[..., None] ** r) / denom
 
 
 def kernel_matrix_pos(

@@ -73,7 +73,9 @@ def main() -> None:
         masses.append(mass)
         metrics.append(mets)
         out[f"window{i}"] = window
-    out.update(box=np.array(boxes), boundary_mass=np.array(masses), metrics=np.array(metrics))
+    out.update(
+        box=np.array(boxes), boundary_mass=np.array(masses), metrics=np.array(metrics)
+    )
     np.savez_compressed(Path(__file__).with_name("reference.npz"), **out)
 
 

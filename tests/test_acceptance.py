@@ -10,7 +10,7 @@ qualitative structure of the distribution.
 import numpy as np
 import pytest
 
-from conftest import rel_residual
+from conftest import branch_residuals, rel_residual
 from sedq.compensation import grow_tree, initial_solution
 from sedq.convergence import compute_N, limit_coeffs, limit_roots
 from sedq.kernel import beta_neg, betas_pos, det_pos, _det_pos_scale
@@ -39,13 +39,13 @@ def test_01_initial_alpha_exactness():
         rho = float(rng.uniform(0.05, 0.95))
         q = float(rng.uniform(0.05, 0.95))
         p = validate_params(s, rho, q)
-        bundle = initial_solution(p)
-        alpha = bundle.pos[0].alpha
+        pos, neg, hv = initial_solution(p)
+        alpha = pos.alpha[0]
         assert alpha == pytest.approx(rho ** (1 + s), rel=4e-16, abs=0)
         # the shared decay rate is what makes the tie-breaking row solvable
-        h = bundle.h.vec
+        h = hv.vec[0]
         resid = abs(
-            -bundle.neg.coeff * alpha * s
+            -neg.coeff[0] * alpha * s
             + alpha * s * h[0]
             + p.arrival_rate * q * h[s - 1]
         )
@@ -73,10 +73,10 @@ def test_03_root_count_law():
                 alpha = rng.uniform(0.05, 0.95) * np.exp(
                     2j * np.pi * rng.uniform()
                 )
-                roots = betas_pos(alpha, p)  # winding-certified internally
-                assert len(roots) == s
-                assert sorted(r.branch for r in roots) == list(range(1, s + 1))
-                vals = [r.value for r in roots]
+                vals = betas_pos(alpha, p)  # winding-certified internally
+                assert vals.shape == (s,)
+                # one root per branch: column j solves branch j + 1
+                assert np.all(branch_residuals(alpha, vals, p) <= 1e-12)
                 for i, v in enumerate(vals):
                     assert abs(v) < abs(alpha)
                     resid = abs(det_pos(alpha, v, p))
@@ -182,39 +182,34 @@ def test_08_limit_constant_agreement():
     level = 8
 
     def within(actual, limit, what):
-        gap = abs(actual - limit) / abs(limit)
-        assert gap < 0.05, (what, gap)
+        gap = np.abs(actual - limit) / abs(limit)
+        assert np.all(gap < 0.05), (what, np.max(gap))
 
-    for t in tree.hat_pos[level]:
-        within(t.beta / t.alpha, v_minus, "upper root ratio")
-    for t in tree.hat_neg[level]:
-        within(t.beta / t.alpha, w_minus, "lower root ratio")
-    for t in tree.tilde_pos[level]:
-        within(t.alpha / t.beta, 1 / v_plus, "upper partner ratio")
-    for t in tree.tilde_neg[level]:
-        within(t.alpha / t.beta, 1 / w_plus, "lower partner ratio")
+    def coeff_of(block, index):
+        coeff = dict(zip(block.index.tolist(), block.coeff))
+        return np.array([coeff[i] for i in index.tolist()])
 
-    hat_p = {t.index: t for t in tree.hat_pos[level - 1]}
-    for t in tree.tilde_pos[level]:
-        within(t.coeff / hat_p[t.index].coeff, c.K_pos_cv, "upper repair ratio")
-    hat_n = {t.index: t for t in tree.hat_neg[level - 1]}
-    for t in tree.tilde_neg[level]:
-        within(t.coeff / hat_n[t.index].coeff, c.K_neg_cv, "lower repair ratio")
+    hp, hn = tree.hat_pos[level], tree.hat_neg[level]
+    tp, tn = tree.tilde_pos[level], tree.tilde_neg[level]
+    within(hp.beta / hp.alpha, v_minus, "upper root ratio")
+    within(hn.beta / hn.alpha, w_minus, "lower root ratio")
+    within(tp.alpha / tp.beta, 1 / v_plus, "upper partner ratio")
+    within(tn.alpha / tn.beta, 1 / w_plus, "lower partner ratio")
 
-    tilde_p = {t.index: t for t in tree.tilde_pos[level]}
-    tilde_n = {t.index: t for t in tree.tilde_neg[level]}
-    for t in tree.hat_neg[level]:
-        parent = t.index // (p.s + 1)
-        if parent in tilde_p:
-            within(t.coeff / tilde_p[parent].coeff, c.K_pos_chs1, "chs1 pos")
-        else:
-            within(t.coeff / tilde_n[parent].coeff, c.K_neg_chs1, "chs1 neg")
+    within(tp.coeff / coeff_of(tree.hat_pos[level - 1], tp.index), c.K_pos_cv,
+           "upper repair ratio")
+    within(tn.coeff / coeff_of(tree.hat_neg[level - 1], tn.index), c.K_neg_cv,
+           "lower repair ratio")
 
-    ratios_p, ratios_n = [], []
-    for t in tree.hat_pos[level]:
-        parent = (t.index - 1) // (p.s + 1) + 1
-        ratio = abs(t.coeff / (tilde_p.get(parent) or tilde_n[parent]).coeff)
-        (ratios_p if parent in tilde_p else ratios_n).append(ratio)
+    parent = hn.index // (p.s + 1)
+    up = np.isin(parent, tp.index)
+    within(hn.coeff[up] / coeff_of(tp, parent[up]), c.K_pos_chs1, "chs1 pos")
+    within(hn.coeff[~up] / coeff_of(tn, parent[~up]), c.K_neg_chs1, "chs1 neg")
+
+    parent = (hp.index - 1) // (p.s + 1) + 1
+    up = np.isin(parent, tp.index)
+    ratios_p = np.abs(hp.coeff[up] / coeff_of(tp, parent[up]))
+    ratios_n = np.abs(hp.coeff[~up] / coeff_of(tn, parent[~up]))
     within(max(ratios_p), c.K_pos_ch, "upper child bound")
     within(max(ratios_n), c.K_neg_ch, "lower child bound")
     _report(

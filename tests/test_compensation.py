@@ -3,6 +3,7 @@ import pytest
 
 from conftest import rel_residual
 from sedq.compensation import (
+    Block,
     TermTree,
     grow_tree,
     horizontal_repair,
@@ -24,16 +25,47 @@ def series_prob(tree, L):
     return lambda m, n: eval_series(tree, m, n, L)
 
 
+def forms(*blocks, where):
+    """``prob(m, n)``: the sum of ``blocks`` where ``where(n)``, else zero."""
+
+    def prob(m, n):
+        total = np.zeros(blocks[0].vec.shape[1], dtype=complex)
+        if where(n):
+            for b in blocks:
+                total += b.value(np.array([m]), np.array([n]))[0]
+        return total
+
+    return prob
+
+
+def upper(n):
+    return n >= 1
+
+
+def lower(n):
+    return n <= -1
+
+
+def tie_residual(p, alpha, neg, h):
+    """The surviving ``n = -1`` row equation of a one-node repair."""
+    hv = h.vec[0]
+    return (
+        -neg.coeff[0] * alpha * p.s
+        + alpha * p.s * hv[0]
+        + p.arrival_rate * p.q * hv[p.s - 1]
+    )
+
+
 class TestInitialSolution:
     def test_alpha_value(self):
-        bundle = initial_solution(P21)
-        assert bundle.pos[0].alpha == pytest.approx(0.125)
-        assert all(t.alpha == bundle.pos[0].alpha for t in bundle.pos)
-        assert bundle.neg.alpha == pytest.approx(0.125)
+        pos, neg, _ = initial_solution(P21)
+        assert pos.alpha[0] == pytest.approx(0.125)
+        assert np.all(pos.alpha == pos.alpha[0])
+        assert neg.alpha[0] == pytest.approx(0.125)
 
     def test_lower_coefficient_is_one(self):
-        bundle = initial_solution(P34)
-        assert bundle.neg.coeff == 1.0
+        _, neg, _ = initial_solution(P34)
+        assert neg.coeff.tolist() == [1.0]
 
     def test_s1_hand_solved_system(self):
         # s = 1, rho = 0.5, q = 0.5: alpha = 0.25, both kernels share the
@@ -42,11 +74,11 @@ class TestInitialSolution:
         # 0.1*1.25 + 0.0625*(-3)/0.75 = -0.125 and the right-hand side is
         # -0.1*1.25 = -0.125, giving c1 = 1; h = alpha/G = 1/3.
         p = validate_params(1, 0.5, 0.5)
-        bundle = initial_solution(p)
-        assert bundle.pos[0].beta == pytest.approx(0.1, rel=1e-12)
-        assert bundle.pos[0].coeff == pytest.approx(1.0, rel=1e-12)
-        assert bundle.neg.beta == pytest.approx(0.1, rel=1e-12)
-        assert bundle.h.vec[0] == pytest.approx(1 / 3, rel=1e-12)
+        pos, neg, h = initial_solution(p)
+        assert pos.beta[0] == pytest.approx(0.1, rel=1e-12)
+        assert pos.coeff[0] == pytest.approx(1.0, rel=1e-12)
+        assert neg.beta[0] == pytest.approx(0.1, rel=1e-12)
+        assert h.vec[0, 0] == pytest.approx(1 / 3, rel=1e-12)
 
     @pytest.mark.parametrize("p", [P21, P34, validate_params(1, 0.8, 0.7)])
     def test_satisfies_interior_and_horizontal_families(self, p):
@@ -66,57 +98,31 @@ class TestInitialSolution:
     def test_tie_equation_holds(self):
         # the lone surviving n = -1 row equation pins alpha = rho^(1+s)
         for p in (P21, P34):
-            bundle = initial_solution(p)
-            alpha = bundle.pos[0].alpha
-            h = bundle.h.vec
-            resid = (
-                -bundle.neg.coeff * alpha * p.s
-                + alpha * p.s * h[0]
-                + p.arrival_rate * p.q * h[p.s - 1]
-            )
-            assert abs(resid) <= 1e-12 * abs(alpha) * p.s
+            pos, neg, h = initial_solution(p)
+            alpha = pos.alpha[0]
+            assert abs(tie_residual(p, alpha, neg, h)) <= 1e-12 * abs(alpha) * p.s
 
 
 class TestVerticalStep:
     def test_pos_pair_satisfies_vertical_equations(self):
-        bundle = initial_solution(P21)
+        pos, _, _ = initial_solution(P21)
         rm = build_rate_matrices(P21)
-        for t in bundle.pos:
-            new = vertical_step_pos(t, P21)
-
-            def pair(m, n):
-                if n < 1:
-                    return np.zeros(P21.s, dtype=complex)
-                return (
-                    t.coeff * t.alpha**m * t.beta**n * t.vec
-                    + new.coeff * new.alpha**m * new.beta**n * new.vec
-                )
-
+        new = vertical_step_pos(pos, P21)
+        for i in range(len(pos)):
+            pair = forms(pos[i : i + 1], new[i : i + 1], where=upper)
             for n in range(2, 6):
                 assert rel_residual(P21, pair, 0, n, rm) < 1e-10
 
     def test_pos_keeps_eigenvector(self):
-        bundle = initial_solution(P34)
-        for t in bundle.pos:
-            new = vertical_step_pos(t, P34)
-            assert np.max(np.abs(new.vec - t.vec)) < 1e-12
-            assert abs(new.alpha) < abs(t.beta)
+        pos, _, _ = initial_solution(P34)
+        new = vertical_step_pos(pos, P34)
+        assert np.max(np.abs(new.vec - pos.vec)) < 1e-12
+        assert np.all(np.abs(new.alpha) < np.abs(pos.beta))
 
     def test_neg_pair_satisfies_vertical_equations(self):
-        bundle = initial_solution(P21)
+        _, neg, _ = initial_solution(P21)
         rm = build_rate_matrices(P21)
-        t = bundle.neg
-        new = vertical_step_neg(t, P21)
-
-        def pair(m, n):
-            if n > -1:
-                return np.zeros(P21.s, dtype=complex)
-            k = -n
-            return (
-                t.coeff * t.alpha**m * t.beta**k * t.vec
-                + new.coeff * new.alpha**m * new.beta**k * new.vec
-            )
-
+        pair = forms(neg, vertical_step_neg(neg, P21), where=lower)
         for n in range(-5, -1):
             assert rel_residual(P21, pair, 0, n, rm) < 1e-10
 
@@ -124,17 +130,20 @@ class TestVerticalStep:
         # with one layer the two quadrants mirror each other: same partner
         # alpha and the scalar coefficient formulas coincide
         p = validate_params(1, 0.5, 0.5)
-        bundle = initial_solution(p)
-        tp = vertical_step_pos(bundle.pos[0], p)
-        tn = vertical_step_neg(bundle.neg, p)
-        assert tn.alpha == pytest.approx(tp.alpha, rel=1e-10)
-        assert alpha_neg(bundle.neg.beta, p) == pytest.approx(
-            partner_alpha_pos(bundle.pos[0].alpha, bundle.pos[0].beta, p),
+        pos, neg, _ = initial_solution(p)
+        tp = vertical_step_pos(pos, p)
+        tn = vertical_step_neg(neg, p)
+        assert tn.alpha[0] == pytest.approx(tp.alpha[0], rel=1e-10)
+        assert alpha_neg(neg.beta[0], p) == pytest.approx(
+            partner_alpha_pos(pos.alpha[0], pos.beta[0], p),
             rel=1e-10,
         )
-        ratio_pos = tp.coeff / bundle.pos[0].coeff
-        ratio_neg = tn.coeff / bundle.neg.coeff
+        ratio_pos = tp.coeff[0] / pos.coeff[0]
+        ratio_neg = tn.coeff[0] / neg.coeff[0]
         assert ratio_neg == pytest.approx(ratio_pos, rel=1e-10)
+
+
+UP, DOWN = np.array([True]), np.array([False])
 
 
 class TestHorizontalStep:
@@ -144,35 +153,24 @@ class TestHorizontalStep:
 
     def test_pos_bundle_shape(self):
         tilde_pos, _ = self._tilde_terms(P21)
-        bundle = horizontal_repair([tilde_pos[0]], [True], P21)[0]
-        assert len(bundle.pos) == P21.s
-        assert bundle.h.vec.shape == (P21.s,)
-        d = (tilde_pos[0].index - 1) * (P21.s + 1)
-        assert [t.index for t in bundle.pos] == [d + j for j in range(1, P21.s + 1)]
-        assert bundle.neg.index == tilde_pos[0].index * (P21.s + 1)
+        t = tilde_pos[0:1]
+        pos, neg, h = horizontal_repair(t, UP, P21)
+        assert len(pos) == P21.s
+        assert h.vec.shape == (1, P21.s)
+        d = (t.index[0] - 1) * (P21.s + 1)
+        assert pos.index.tolist() == [d + j for j in range(1, P21.s + 1)]
+        assert neg.index.tolist() == [t.index[0] * (P21.s + 1)]
 
     def test_pos_unit_satisfies_horizontal_families(self):
         tilde_pos, _ = self._tilde_terms(P21)
         rm = build_rate_matrices(P21)
-        t = tilde_pos[1]
-        bundle = horizontal_repair([t], [True], P21)[0]
+        t = tilde_pos[1:2]
+        pos, neg, h = horizontal_repair(t, UP, P21)
+        parts = [forms(t, pos, where=upper), forms(h, where=lambda n: n == 0),
+                 forms(neg, where=lower)]
 
         def unit(m, n):
-            vec = np.zeros(P21.s, dtype=complex)
-            if n >= 1:
-                vec += t.coeff * t.alpha**m * t.beta**n * t.vec
-                for ht in bundle.pos:
-                    vec += ht.coeff * ht.alpha**m * ht.beta**n * ht.vec
-            elif n == 0:
-                vec += bundle.h.alpha**m * bundle.h.vec
-            else:
-                vec += (
-                    bundle.neg.coeff
-                    * bundle.neg.alpha**m
-                    * bundle.neg.beta ** (-n)
-                    * bundle.neg.vec
-                )
-            return vec
+            return sum(part(m, n) for part in parts)
 
         for m in range(1, 5):
             for n in (-1, 0, 1):
@@ -181,25 +179,13 @@ class TestHorizontalStep:
     def test_neg_unit_satisfies_horizontal_families(self):
         _, tilde_neg = self._tilde_terms(P21)
         rm = build_rate_matrices(P21)
-        t = tilde_neg[0]
-        bundle = horizontal_repair([t], [False], P21)[0]
+        t = tilde_neg[0:1]
+        pos, neg, h = horizontal_repair(t, DOWN, P21)
+        parts = [forms(pos, where=upper), forms(h, where=lambda n: n == 0),
+                 forms(t, neg, where=lower)]
 
         def unit(m, n):
-            vec = np.zeros(P21.s, dtype=complex)
-            if n >= 1:
-                for ht in bundle.pos:
-                    vec += ht.coeff * ht.alpha**m * ht.beta**n * ht.vec
-            elif n == 0:
-                vec += bundle.h.alpha**m * bundle.h.vec
-            else:
-                vec += t.coeff * t.alpha**m * t.beta ** (-n) * t.vec
-                vec += (
-                    bundle.neg.coeff
-                    * bundle.neg.alpha**m
-                    * bundle.neg.beta ** (-n)
-                    * bundle.neg.vec
-                )
-            return vec
+            return sum(part(m, n) for part in parts)
 
         for m in range(1, 5):
             for n in (-1, 0, 1):
@@ -207,40 +193,29 @@ class TestHorizontalStep:
 
     def test_pos_tie_row(self):
         tilde_pos, _ = self._tilde_terms(P34)
-        bundle = horizontal_repair([tilde_pos[0]], [True], P34)[0]
-        alpha = tilde_pos[0].alpha
-        h = bundle.h.vec
-        resid = (
-            -bundle.neg.coeff * alpha * P34.s
-            + alpha * P34.s * h[0]
-            + P34.arrival_rate * P34.q * h[P34.s - 1]
-        )
+        t = tilde_pos[0:1]
+        _, neg, h = horizontal_repair(t, UP, P34)
+        alpha = t.alpha[0]
+        resid = tie_residual(P34, alpha, neg, h)
         assert abs(resid) <= 1e-10 * max(abs(alpha) * P34.s, 1e-30)
 
     def test_neg_tie_row_has_source(self):
         _, tilde_neg = self._tilde_terms(P34)
-        t = tilde_neg[0]
-        bundle = horizontal_repair([t], [False], P34)[0]
-        alpha = t.alpha
-        h = bundle.h.vec
-        lhs = (
-            -bundle.neg.coeff * alpha * P34.s
-            + alpha * P34.s * h[0]
-            + P34.arrival_rate * P34.q * h[P34.s - 1]
-        )
-        rhs = t.coeff * alpha * P34.s
-        assert lhs == pytest.approx(rhs, rel=1e-9)
+        t = tilde_neg[0:1]
+        _, neg, h = horizontal_repair(t, DOWN, P34)
+        alpha = t.alpha[0]
+        rhs = t.coeff[0] * alpha * P34.s
+        assert tie_residual(P34, alpha, neg, h) == pytest.approx(rhs, rel=1e-9)
 
     def test_neg_h_equation_is_sourceless(self):
         _, tilde_neg = self._tilde_terms(P34)
-        t = tilde_neg[0]
-        bundle = horizontal_repair([t], [False], P34)[0]
+        t = tilde_neg[0:1]
+        pos, _, h = horizontal_repair(t, DOWN, P34)
         rm = build_rate_matrices(P34)
-        G = rm.A_01 + t.alpha * rm.A_m11
-        total = G @ bundle.h.vec - t.alpha * sum(
-            ht.coeff * ht.vec for ht in bundle.pos
-        )
-        assert np.max(np.abs(total)) <= 1e-10 * max(abs(t.alpha), 1e-30)
+        alpha = t.alpha[0]
+        G = rm.A_01 + alpha * rm.A_m11
+        total = G @ h.vec[0] - alpha * (pos.coeff @ pos.vec)
+        assert np.max(np.abs(total)) <= 1e-10 * max(abs(alpha), 1e-30)
 
 
 class TestTreeGrowth:
@@ -296,20 +271,17 @@ class TestTreeGrowth:
         # each product form alone solves its quadrant's interior equations
         tree = grow_tree(P34, 4)
         rm = build_rate_matrices(P34)
-        for t in [*tree.hat_pos[1], *tree.tilde_pos[1]]:
-            def one(m, n, t=t):
-                if n < 1:
-                    return np.zeros(P34.s, dtype=complex)
-                return t.coeff * t.alpha**m * t.beta**n * t.vec
-            for (m, n) in [(1, 2), (2, 3), (3, 2), (4, 4)]:
-                assert rel_residual(P34, one, m, n, rm) < 1e-10
-        for t in [*tree.hat_neg[1], *tree.tilde_neg[1]]:
-            def one(m, n, t=t):
-                if n > -1:
-                    return np.zeros(P34.s, dtype=complex)
-                return t.coeff * t.alpha**m * t.beta ** (-n) * t.vec
-            for (m, n) in [(1, -2), (2, -3), (3, -2), (4, -4)]:
-                assert rel_residual(P34, one, m, n, rm) < 1e-10
+        cases = [
+            (tree.hat_pos[1], upper, [(1, 2), (2, 3), (3, 2), (4, 4)]),
+            (tree.tilde_pos[1], upper, [(1, 2), (2, 3), (3, 2), (4, 4)]),
+            (tree.hat_neg[1], lower, [(1, -2), (2, -3), (3, -2), (4, -4)]),
+            (tree.tilde_neg[1], lower, [(1, -2), (2, -3), (3, -2), (4, -4)]),
+        ]
+        for block, where, states in cases:
+            for i in range(len(block)):
+                one = forms(block[i : i + 1], where=where)
+                for (m, n) in states:
+                    assert rel_residual(P34, one, m, n, rm) < 1e-10
 
     def test_real_probabilities_for_complex_branches(self):
         tree = grow_tree(P34, 6)
@@ -349,14 +321,24 @@ class TestTreeGrowth:
 
     def test_stacked_repair_equals_one_node_at_a_time(self):
         tree = grow_tree(P34, 3)
-        terms = [*tree.tilde_pos[2], *tree.tilde_neg[2]]
-        upper = [True] * len(tree.tilde_pos[2]) + [False] * len(tree.tilde_neg[2])
-        stacked = horizontal_repair(terms, upper, P34)
-        for t, up, b in zip(terms, upper, stacked):
-            one = horizontal_repair([t], [up], P34)[0]
-            for x, y in zip([*b.pos, b.neg, b.h], [*one.pos, one.neg, one.h]):
-                assert x[:4] == y[:4]  # index, alpha, beta, coeff
-                assert np.array_equal(x.vec, y.vec)
+        terms = Block.join([tree.tilde_pos[2], tree.tilde_neg[2]], P34.s)
+        up = np.arange(len(terms)) < len(tree.tilde_pos[2])
+        stacked = horizontal_repair(terms, up, P34)
+        for i in range(len(terms)):
+            one = horizontal_repair(terms[i : i + 1], up[i : i + 1], P34)
+            # per node: s upper children, one lower child, one h-vector
+            for x, y, k in zip(stacked, one, (P34.s, 1, 1)):
+                rows = x[i * k : (i + 1) * k]
+                for col in ("index", "alpha", "beta", "coeff", "vec"):
+                    assert (getattr(rows, col) == getattr(y, col)).all()
+
+    def test_block_rows_are_taken_by_slice_mask_or_index_array(self):
+        block = grow_tree(P21, 0).hat_pos[0]
+        assert block[1:].index.tolist() == block.index[1:].tolist()
+        assert len(block[np.array([True, False])]) == 1
+        assert block[np.array([1, 0])].index.tolist() == [2, 1]
+        with pytest.raises(TypeError):
+            block[0]
 
 
 class TestSerialization:
@@ -376,4 +358,4 @@ class TestSerialization:
         # records parse back to the stored values
         sample = lines[1].split(",")
         assert sample[0] == "hat_pos"
-        assert complex(float(sample[3]), float(sample[4])) == tree.hat_pos[0][0].alpha
+        assert complex(float(sample[3]), float(sample[4])) == tree.hat_pos[0].alpha[0]

@@ -98,11 +98,11 @@ class TestLimitCoeffs:
         tree = grow_tree(p, 16)
 
         def worst_gap(level):
-            hat = {t.index: t for t in tree.hat_pos[level - 1]}
-            return max(
-                abs(t.coeff / hat[t.index].coeff - c.K_pos_cv) / abs(c.K_pos_cv)
-                for t in tree.tilde_pos[level]
-            )
+            hat = tree.hat_pos[level - 1]
+            coeff = dict(zip(hat.index.tolist(), hat.coeff))
+            tilde = tree.tilde_pos[level]
+            parent = np.array([coeff[i] for i in tilde.index.tolist()])
+            return np.max(np.abs(tilde.coeff / parent - c.K_pos_cv)) / abs(c.K_pos_cv)
 
         assert worst_gap(8) < 0.05
         assert worst_gap(8) < worst_gap(4) < worst_gap(2)
@@ -160,32 +160,32 @@ class TestRatioMatrixAgainstTree:
         # each case entry should be the asymptotic max of the realized
         # child/parent contribution ratios of its type; a wrong factor in
         # the table would miss by v or w ratios (several times off)
-        from sedq.compensation import grow_tree
+        from sedq.compensation import Block, grow_tree
 
         p = validate_params(2, 0.5, 0.4)
         s = p.s
         c = limit_coeffs(p)
         tree = grow_tree(p, 12)
 
-        def weight(t, m, nn):
-            return abs(t.coeff) * abs(t.alpha) ** m * abs(t.beta) ** nn
+        def weight(block, m, nn):
+            alpha, beta = np.abs(block.alpha), np.abs(block.beta)
+            return np.abs(block.coeff) * alpha**m * beta**nn
 
         def worst_ratios(parents_pos, parents_neg, kids_pos, kids_neg, m, nn):
-            tp = {t.index: t for t in parents_pos}
-            tn = {t.index: t for t in parents_neg}
+            parents = Block.join([parents_pos, parents_neg], s)
+            row = dict(zip(parents.index.tolist(), range(len(parents))))
             worst = {}
-            for coll, is_pos in ((kids_pos, True), (kids_neg, False)):
-                for ch in coll:
-                    kappa = (
-                        (ch.index - 1) // (s + 1) + 1
-                        if is_pos
-                        else ch.index // (s + 1)
-                    )
-                    j = "pos" if kappa in tp else "neg"
-                    par = tp.get(kappa) or tn[kappa]
-                    key = (j, "pos" if is_pos else "neg")
-                    r = weight(ch, m, nn) / weight(par, m, nn)
-                    worst[key] = max(worst.get(key, 0.0), r)
+            for kids, kind in ((kids_pos, "pos"), (kids_neg, "neg")):
+                if kind == "pos":
+                    kappa = (kids.index - 1) // (s + 1) + 1
+                else:
+                    kappa = kids.index // (s + 1)
+                at = np.array([row[k] for k in kappa.tolist()], dtype=int)
+                r = weight(kids, m, nn) / weight(parents, m, nn)[at]
+                from_pos = at < len(parents_pos)
+                for j, rows in (("pos", from_pos), ("neg", ~from_pos)):
+                    if rows.any():
+                        worst[(j, kind)] = r[rows].max()
             return worst
 
         m, nn = 2, 1

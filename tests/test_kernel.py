@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import branch_residuals
 from sedq.errors import DegenerateEigenvector, RootCountMismatch
 from sedq.kernel import (
-    _branch_newton_z,
-    _branch_residual_z,
     alpha_neg,
     beta_neg,
     betas_pos,
@@ -23,7 +22,6 @@ from sedq.kernel import (
     partner_alpha_pos,
     principal_root,
     roots_of_unity,
-    v_ratio_roots,
     winding_count,
 )
 from sedq.model import validate_params
@@ -59,8 +57,8 @@ class TestDetPos:
 
     def test_in_disk_roots_are_roots(self):
         alpha = P21.rho ** (1 + P21.s)
-        for root in betas_pos(alpha, P21):
-            assert abs(det_pos(alpha, root.value, P21)) <= 1e-10
+        for beta in betas_pos(alpha, P21):
+            assert abs(det_pos(alpha, beta, P21)) <= 1e-10
 
     @given(params_strategy, st.floats(0.1, 0.9), st.floats(0.1, 0.9))
     @settings(max_examples=50)
@@ -85,20 +83,20 @@ class TestDetPos:
 class TestBetasPos:
     def test_reference_case(self):
         roots = betas_pos(0.125, P21)
-        assert len(roots) == 2
-        assert sorted(r.branch for r in roots) == [1, 2]
-        assert all(abs(r.value) < 0.125 for r in roots)
+        assert roots.shape == (2,)
+        assert np.all(branch_residuals(0.125, roots, P21) <= 1e-12)
+        assert np.all(abs(roots) < 0.125)
 
     def test_s1_quadratic_oracle(self):
         # for s = 1 the determinant is (b+alpha)*beta^2 - a*alpha*beta + alpha^2;
         # at alpha = 0.25: 1.25 b^2 - 0.75 b + 0.0625 with roots {0.5, 0.1}
         roots = betas_pos(0.25, P15)
-        assert len(roots) == 1
-        assert roots[0].value == pytest.approx(0.1, rel=1e-12)
+        assert roots.shape == (1,)
+        assert roots[0] == pytest.approx(0.1, rel=1e-12)
 
     def test_branch_residuals_vanish(self):
-        for root in betas_pos(0.3 + 0.1j, P21):
-            assert abs(branch_value_pos(0.3 + 0.1j, root.value, root.branch, P21)) < 1e-12
+        for j, beta in enumerate(betas_pos(0.3 + 0.1j, P21)):
+            assert abs(branch_value_pos(0.3 + 0.1j, beta, j + 1, P21)) < 1e-12
 
     @given(st.integers(1, 4), st.floats(0.1, 0.9), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -106,10 +104,9 @@ class TestBetasPos:
         p = validate_params(s, rho, 0.4)
         rng = np.random.default_rng(seed)
         alpha = random_alpha(rng)
-        roots = betas_pos(alpha, p)
-        assert len(roots) == s
-        assert sorted(r.branch for r in roots) == list(range(1, s + 1))
-        values = [r.value for r in roots]
+        values = betas_pos(alpha, p)
+        assert values.shape == (s,)
+        assert np.all(branch_residuals(alpha, values, p) <= 1e-12)
         for i in range(s):
             assert abs(values[i]) < abs(alpha)
             for j in range(i + 1, s):
@@ -117,7 +114,7 @@ class TestBetasPos:
 
     def test_conjugate_closure_for_real_alpha(self):
         p = validate_params(3, 0.6, 0.4)
-        values = np.array([r.value for r in betas_pos(0.4, p)])
+        values = betas_pos(0.4, p)
         conj = np.conj(values)
         for v in values:
             assert np.min(np.abs(conj - v)) < 1e-12
@@ -130,15 +127,15 @@ class TestBetasPos:
 class TestPartnerAlpha:
     def test_vieta_product(self):
         beta = betas_pos(0.125, P21)[0]
-        other = partner_alpha_pos(0.125, beta.value, P21)
+        other = partner_alpha_pos(0.125, beta, P21)
         product = 0.125 * other
-        assert product == pytest.approx(beta.value**2 * (1 + P21.s) * P21.rho, rel=1e-10)
+        assert product == pytest.approx(beta**2 * (1 + P21.s) * P21.rho, rel=1e-10)
 
     def test_identical_eigenvectors(self):
         beta = betas_pos(0.125, P21)[1]
-        other = partner_alpha_pos(0.125, beta.value, P21)
-        v1 = eigvec_pos(0.125, beta.value, P21)
-        v2 = eigvec_pos(other, beta.value, P21)
+        other = partner_alpha_pos(0.125, beta, P21)
+        v1 = eigvec_pos(0.125, beta, P21)
+        v2 = eigvec_pos(other, beta, P21)
         assert np.max(np.abs(v1 - v2)) < 1e-12
 
     def test_s1_explicit_roots(self):
@@ -238,18 +235,18 @@ class TestEigenvectors:
 
     def test_pos_branch_form(self):
         alpha = 0.125
-        for root in betas_pos(alpha, P21):
-            v = eigvec_pos(alpha, root.value, P21)
-            u = roots_of_unity(P21.s)[root.branch - 1]
-            expected = (u * principal_root(root.value, P21.s)) ** np.arange(P21.s)
+        for j, beta in enumerate(betas_pos(alpha, P21)):
+            v = eigvec_pos(alpha, beta, P21)
+            u = roots_of_unity(P21.s)[j]
+            expected = (u * principal_root(beta, P21.s)) ** np.arange(P21.s)
             assert np.max(np.abs(v - expected)) < 1e-10
 
     def test_pos_kernel_residual(self):
         p = validate_params(4, 0.8, 0.4)
         alpha = p.rho ** (1 + p.s)
-        for root in betas_pos(alpha, p):
-            v = eigvec_pos(alpha, root.value, p)
-            D = kernel_matrix_pos(alpha, root.value, p)
+        for beta in betas_pos(alpha, p):
+            v = eigvec_pos(alpha, beta, p)
+            D = kernel_matrix_pos(alpha, beta, p)
             assert np.linalg.norm(D @ v) <= 1e-10 * np.linalg.norm(D)
 
     def test_neg_entry_zero_is_one(self):
@@ -315,39 +312,26 @@ class TestStackedRoots:
     @pytest.mark.parametrize("p", [P21, validate_params(3, 0.75, 0.4), P15])
     def test_betas_pos_stack_equals_scalar_calls(self, p):
         stacked = betas_pos(np.array(STACK_ALPHAS), p)
-        assert stacked == [betas_pos(alpha, p) for alpha in STACK_ALPHAS]
+        assert stacked.shape == (len(STACK_ALPHAS), p.s)
+        assert (stacked == [betas_pos(alpha, p) for alpha in STACK_ALPHAS]).all()
 
     @pytest.mark.parametrize("p", [P21, validate_params(3, 0.75, 0.4), P15])
     def test_beta_neg_stack_equals_scalar_calls(self, p):
         stacked = beta_neg(np.array(STACK_ALPHAS), p)
-        assert stacked == [beta_neg(alpha, p) for alpha in STACK_ALPHAS]
+        assert (stacked == [beta_neg(alpha, p) for alpha in STACK_ALPHAS]).all()
+
+    @pytest.mark.parametrize("p", [P21, validate_params(3, 0.75, 0.4), P15])
+    def test_vertical_roots_and_eigvecs_stack_equal_scalar_calls(self, p):
+        alphas = np.array(STACK_ALPHAS)
+        betas = beta_neg(alphas, p)
+        partners = partner_alpha_pos(alphas, betas, p)
+        lower = alpha_neg(betas, p)
+        pairs = list(zip(STACK_ALPHAS, betas))
+        assert (partners == [partner_alpha_pos(a, b, p) for a, b in pairs]).all()
+        assert (lower == [alpha_neg(b, p) for b in betas]).all()
+        for fn in (eigvec_pos, eigvec_neg):
+            assert (fn(alphas, betas, p) == [fn(a, b, p) for a, b in pairs]).all()
 
     def test_stack_rejects_any_alpha_outside_unit_disk(self):
         with pytest.raises(RootCountMismatch):
             betas_pos(np.array([0.125, 1.2]), P21)
-
-
-class TestNewtonCycleExit:
-    # from these starts the walk ends in a cycle of neighbouring floats that
-    # the 1e-16 step test never stops: period 2 entered at step 4, and
-    # period 4 entered at step 5 (the 60th iterate is the cycle's 4th)
-    @pytest.mark.parametrize("alpha, branch", [(0.05, 1), (0.19, 2)])
-    def test_cycle_exit_returns_the_sixtieth_iterate(self, alpha, branch):
-        p = P21
-        a, b = (1 + p.s) * (p.rho + 1), (1 + p.s) * p.rho
-        v_minus, v_plus = v_ratio_roots(p)
-        sigma = roots_of_unity(p.s)[branch - 1] * principal_root(alpha, p.s)
-        start = v_minus + p.s * sigma * v_minus ** (1 + 1 / p.s) / (
-            b * (v_plus - v_minus)
-        )
-
-        z, walk = complex(start), []
-        for _ in range(60):
-            r, dr = _branch_residual_z(z, sigma, a, b, p.s)
-            step = r / dr
-            z = z - step
-            assert not abs(step) < 1e-16 * abs(z)  # runs all 60 steps
-            walk.append(z)
-        assert len(set(walk)) < len(walk)  # the walk repeats an iterate
-        got = _branch_newton_z([start], sigma, p)
-        assert np.complex128(got).tobytes() == np.complex128(z).tobytes()

@@ -47,23 +47,22 @@ class TestTriangle:
 class TestEvalSeries:
     def test_initial_axis_value(self):
         tree = grow_tree(P21, 0)
-        hv = tree.h_vecs[0][0]
+        hv = tree.h_vecs[0]
         for m in (0, 1, 3):
-            expected = hv.alpha**m * hv.vec
+            expected = hv.alpha[0] ** m * hv.vec[0]
             assert np.allclose(eval_series(tree, m, 0, 0), expected)
 
     def test_initial_upper_value(self):
         tree = grow_tree(P21, 0)
         m, n = 2, 3
-        expected = sum(
-            t.coeff * t.alpha**m * t.beta**n * t.vec for t in tree.hat_pos[0]
-        )
+        t = tree.hat_pos[0]
+        expected = (t.coeff * t.alpha**m * t.beta**n) @ t.vec
         assert np.allclose(eval_series(tree, m, n, 0), expected)
 
     def test_initial_lower_value(self):
         tree = grow_tree(P21, 0)
-        t = tree.hat_neg[0][0]
-        expected = t.coeff * t.alpha**2 * t.beta**3 * t.vec
+        t = tree.hat_neg[0]
+        expected = t.coeff[0] * t.alpha[0] ** 2 * t.beta[0] ** 3 * t.vec[0]
         assert np.allclose(eval_series(tree, 2, -3, 0), expected)
 
     def test_depth_exceeded(self):
