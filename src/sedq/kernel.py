@@ -155,7 +155,6 @@ def _det_pos_scale(alpha, beta, p: ModelParams):
     return (aa * bb * a + bb * bb * b + aa * aa) ** p.s + bb * (aa * bb * p.s) ** p.s
 
 
-@_stackable
 def branch_value_pos(alpha, beta, branch: int, p: ModelParams):
     """Residual of branch equation ``branch`` (1-based) at ``(alpha, beta)``."""
     _nonzero(alpha, beta, "branch equation")
