@@ -84,9 +84,10 @@ class Block:
     @classmethod
     def join(cls, blocks, s: int) -> Block:
         """The rows of ``blocks`` in order; no rows give ``vec`` of shape (0, s)."""
-        empty = cls(np.zeros(0, dtype=int), *np.zeros((3, 0), dtype=complex),
-                     np.zeros((0, s), dtype=complex))
-        return cls(*map(np.concatenate, zip(*(b._columns() for b in [empty, *blocks]))))
+        z = np.zeros(0, dtype=complex)
+        empty = cls(np.zeros(0, dtype=int), z, z, z, np.zeros((0, s), dtype=complex))
+        columns = zip(*(b._columns() for b in [empty, *blocks]))
+        return cls(*(np.concatenate(col) for col in columns))
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return self.index, self.alpha, self.beta, self.coeff, self.vec
@@ -277,19 +278,19 @@ def horizontal_repair(
     return _children(terms.index, alpha, x, betas, bneg, ipos, ineg)
 
 
-def _named(level: int, index: np.ndarray, step):
-    """``step(slice(None))``: a repair step on all rows of a tree level.
+def _named(level: int, step, rows: tuple, *args):
+    """``step(*rows, *args)``: a repair step on the rows of a tree level.
 
-    A :class:`SedqError` is re-raised as ``level L, node i: ...`` for the
-    first row that fails when run alone (``step(slice(i, i + 1))``); the
-    rows of a step are independent.
+    ``rows`` are the row-aligned arguments, a :class:`Block` first.  A
+    :class:`SedqError` is re-raised as ``level L, node i: ...`` for the first
+    row that fails when run alone; the rows of a step are independent.
     """
     try:
-        return step(slice(None))
+        return step(*rows, *args)
     except SedqError:
-        for i, node in enumerate(index.tolist()):
+        for i, node in enumerate(rows[0].index.tolist()):
             try:
-                step(slice(i, i + 1))
+                step(*(r[i : i + 1] for r in rows), *args)
             except SedqError as exc:
                 raise type(exc)(f"level {level}, node {node}: {exc}") from exc
         raise
@@ -334,11 +335,9 @@ class TermTree:
         upper = np.arange(len(terms)) < len(pos)
         parts = []
         for i in range(0, len(terms), REPAIR_CHUNK):
-            chunk, up = terms[i : i + REPAIR_CHUNK], upper[i : i + REPAIR_CHUNK]
-            parts.append(_named(
-                level, chunk.index,
-                lambda rows: horizontal_repair(chunk[rows], up[rows], p, self.rm),
-            ))
+            at = slice(i, i + REPAIR_CHUNK)
+            rows = (terms[at], upper[at])
+            parts.append(_named(level, horizontal_repair, rows, p, self.rm))
         return [Block.join([part[j] for part in parts], p.s) for j in range(3)]
 
     def ensure_passes(self, L: int) -> None:
@@ -348,13 +347,8 @@ class TermTree:
             k = self.passes + 1
             level = k // 2
             if k % 2 == 1:
-                pos, neg = self.hat_pos[level], self.hat_neg[level]
-                new_pos = _named(
-                    level, pos.index, lambda rows: vertical_step_pos(pos[rows], p)
-                )
-                new_neg = _named(
-                    level, neg.index, lambda rows: vertical_step_neg(neg[rows], p)
-                )
+                new_pos = _named(level, vertical_step_pos, (self.hat_pos[level],), p)
+                new_neg = _named(level, vertical_step_neg, (self.hat_neg[level],), p)
                 self.tilde_pos.append(self._pruned(new_pos))
                 self.tilde_neg.append(self._pruned(new_neg))
             else:
