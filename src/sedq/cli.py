@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -49,7 +49,7 @@ JSON_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (type(N
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat bag of every knob a command accepts; JSON round-trips losslessly."""
+    """Flat bag of every knob a command accepts, from flags and ``--config``."""
 
     s: int
     rho: float
@@ -60,13 +60,6 @@ class RunConfig:
     k: int | None = None
     format: str = "csv"
     out: str = "-"
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
 
     def model(self) -> ModelParams:
         return validate_params(self.s, self.rho, self.q)
@@ -268,6 +261,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     p = cfg.model()
     if args.window < 0:
         raise InvalidParam(f"--window must be nonnegative, got {args.window}")
+    if not args.tol >= 0:
+        raise InvalidParam(f"--tol must be a nonnegative number, got {args.tol}")
+    if not math.isfinite(args.events):
+        raise InvalidParam(f"--events must be finite, got {args.events}")
     if args.box:
         extents = _numbers(args.box.lower(), "x", int, "--box")
         if len(extents) != 2:
@@ -290,7 +287,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     )
     failed = rep.max_rel_err > args.tol
     if args.simulate:
-        sim = simulate(p, SimConfig(events=args.events, seed=args.seed))
+        sim = simulate(p, SimConfig(events=int(args.events), seed=args.seed))
         simrep = compare(sim.freq, oracle.probs, window)
         _info(
             f"simulation vs oracle: max_rel_err={CONSOLE_FMT.format(simrep.max_rel_err)} "
@@ -310,10 +307,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_lmap(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     p = cfg.model()
+    scfg = cfg.solver()
     if args.span < 0:
         raise InvalidParam(f"--span must be nonnegative, got {args.span}")
     m, n = zip(*triangle_states(args.span))
-    Ls = accuracy_passes(TermTree(p), m, n, cfg.eps, cfg.lmax)
+    Ls = accuracy_passes(TermTree(p), m, n, scfg.eps, scfg.L_max)
     rows = list(zip(m, n, Ls.tolist()))
     meta = {
         "s": p.s,
@@ -357,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-3)
     sp.add_argument("--simulate", action="store_true")
     sp.add_argument(
-        "--events", type=lambda x: int(float(x)), default=1_000_000,
+        "--events", type=float, default=1_000_000,
         help="event count, scientific notation accepted",
     )
     sp.add_argument("--seed", type=int, default=0)

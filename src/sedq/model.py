@@ -19,7 +19,8 @@ Those are one table: ``FAMILY_OF`` maps ``(m == 0, clip(n, -2, 2))`` to one
 of ten families, and ``STENCILS`` maps each family to its relative
 ``(dm, dn, block)`` entries.  :func:`equation_stencil` and
 :func:`balance_residual` read one state's equation from it; the solver reads
-whole families from it to check every state of a triangle at once.
+whole families (:func:`family_stencil`) to assemble ``T_M`` and to check a
+triangle.
 """
 
 from __future__ import annotations

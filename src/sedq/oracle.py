@@ -86,14 +86,10 @@ class CompareReport:
     worst_state: tuple[int, int] | None
 
 
-def _route_arrival(q1: int, q2: int, s: int) -> int:
-    """-1: join queue 1, +1: join queue 2, 0: tie."""
-    lhs, rhs = s * (q1 + 1), q2 + 1
-    if lhs < rhs:
-        return -1
-    if lhs > rhs:
-        return 1
-    return 0
+def _route_arrival(q1, q2, s):
+    """-1: join queue 1, +1: join queue 2, 0: tie; for ints or integer arrays."""
+    gap = s * (q1 + 1) - (q2 + 1)
+    return (gap > 0) * 1 - (gap < 0) * 1
 
 
 def oracle_solve(
@@ -113,36 +109,30 @@ def oracle_solve(
             f"box {box.q1max}x{box.q2max} is below the minimum extent {4 * s}"
         )
 
-    def idx(q1: int, q2: int) -> int:
-        return q1 * n2 + q2
-
+    q1, q2 = np.indices((n1, n2))
+    side = _route_arrival(q1, q2, s)
+    here = q1 * n2 + q2
+    # (allowed, index step, rate) of each move, in the order the outflow of a
+    # state sums them; a tie allows both joins, one of them at rate 0 when q
+    # is 0 or 1, and that zero stays an explicit entry of the generator
+    moves = (
+        ((side <= 0) & (q1 < box.q1max), n2, lam * np.where(side == 0, q, 1.0)),
+        ((side >= 0) & (q2 < box.q2max), 1, lam * np.where(side == 0, 1 - q, 1.0)),
+        (q1 > 0, -n2, np.ones((n1, n2))),
+        (q2 > 0, -1, np.full((n1, n2), float(s))),
+    )
+    outflow = sum(np.where(allowed, rate, 0.0) for allowed, _, rate in moves)
+    src = [here[allowed] for allowed, _, _ in moves] + [here.ravel()]
+    dst = [here[allowed] + step for allowed, step, _ in moves] + [here.ravel()]
+    val = [rate[allowed] for allowed, _, rate in moves] + [-outflow.ravel()]
+    src, dst, val = (np.concatenate(x) for x in (src, dst, val))
+    # balance rows A @ pi = 0 with row 0 replaced by the normalization
+    keep = dst > 0
     size = n1 * n2
-    rows, cols, vals = [], [], []
-
-    def add(src: int, dst: int, rate: float) -> None:
-        rows.append(dst)
-        cols.append(src)
-        vals.append(rate)
-        rows.append(src)
-        cols.append(src)
-        vals.append(-rate)
-
-    for q1 in range(n1):
-        for q2 in range(n2):
-            here = idx(q1, q2)
-            side = _route_arrival(q1, q2, s)
-            if side <= 0 and q1 < box.q1max:
-                add(here, idx(q1 + 1, q2), lam * (q if side == 0 else 1.0))
-            if side >= 0 and q2 < box.q2max:
-                add(here, idx(q1, q2 + 1), lam * ((1 - q) if side == 0 else 1.0))
-            if q1 > 0:
-                add(here, idx(q1 - 1, q2), 1.0)
-            if q2 > 0:
-                add(here, idx(q1, q2 - 1), float(s))
-
-    # balance rows A @ pi = 0 with one row replaced by the normalization
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tolil()
-    A[0, :] = 1.0
+    dst = np.append(dst[keep], np.zeros(size, int))
+    src = np.append(src[keep], np.arange(size))
+    val = np.append(val[keep], np.ones(size))
+    A = sp.coo_matrix((val, (dst, src)), shape=(size, size))
     b = np.zeros(size)
     b[0] = 1.0
     try:
@@ -156,19 +146,15 @@ def oracle_solve(
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
 
-    boundary = 0.0
-    for q1 in range(n1):
-        for q2 in range(n2):
-            if q1 >= box.q1max - 1 or q2 >= box.q2max - 1:
-                boundary += pi[idx(q1, q2)]
+    # cumsum adds the edge states one after another in row-major order
+    edge = (q1 >= box.q1max - 1) | (q2 >= box.q2max - 1)
+    boundary = float(np.cumsum(pi[edge.ravel()])[-1])
     if boundary > mass_tol:
         raise BoxTooSmall(
             f"boundary mass {boundary:.3e} exceeds {mass_tol:.1e}; enlarge the box"
         )
-    probs = {
-        (q1, q2): float(pi[idx(q1, q2)]) for q1 in range(n1) for q2 in range(n2)
-    }
-    return OracleResult(probs=probs, boundary_mass=float(boundary))
+    probs = dict(zip(zip(q1.ravel().tolist(), q2.ravel().tolist()), pi.tolist()))
+    return OracleResult(probs=probs, boundary_mass=boundary)
 
 
 class XorShift64Star:

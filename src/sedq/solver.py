@@ -14,8 +14,9 @@ triangles ``T_x = {(m, n): m + |n| <= x}``:
 5. normalize over ``T_K``.
 
 The distribution is one ``(states, s)`` array: the series states of
-``T_K - T_M`` in triangle order, then ``T_M``.  All steps but the per-state
-assembly of the small ``T_M`` system work on whole arrays of states.
+``T_K - T_M`` in triangle order, then ``T_M``.  Every step works on whole
+arrays of states; the ``T_M`` system is scattered from the stencil table in
+one indexed assignment (:func:`boundary_solve`).
 Series evaluation is incremental: pass ``L`` adds exactly one block of
 terms (a vertical level for odd ``L``, a horizontal level for even ``L``) to
 every state still active, and a state drops out once it stops
@@ -23,9 +24,10 @@ every state still active, and a state drops out once it stops
 vertical passes; the stopping rule only tests passes that change the value
 and stops once two of them in a row are quiet.
 The residual diagnostic sums each balance-equation family's stencil over
-all of its states at once.  The L-map reported by the CLI instead measures
-each truncation against the converged series value
-(:func:`accuracy_passes`), whose level sets organize by ``m + |n|``.
+all of its states at once, through the same walk of the table.  The L-map
+reported by the CLI instead measures each truncation against the converged
+series value (:func:`accuracy_passes`), whose level sets organize by
+``m + |n|``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .model import (
     FAMILY_OF,
     ModelParams,
     build_rate_matrices,
-    equation_stencil,
     family_stencil,
     from_internal,
     to_internal,
@@ -228,58 +229,77 @@ def accuracy_passes(
     sets organize by ``m + |n|``.
     """
     m, n = np.atleast_1d(m), np.atleast_1d(n)
+    if np.any(m < 0):
+        raise InvalidParam(f"m must be nonnegative, got {m.min()}")
     tree.ensure_passes(L_max + REF_EXTRA)
-    ref = eval_series(tree, m, n, L_max + REF_EXTRA)
-    cur = _pass_value(tree, m, n, 0)
+    sums = [_pass_value(tree, m, n, 0)]
+    for k in range(1, L_max + REF_EXTRA + 1):
+        sums.append(sums[-1] + _pass_value(tree, m, n, k))
     L = np.full(len(m), L_max)
     for k in range(1, L_max):
-        cur += _pass_value(tree, m, n, k)
         # a state still at L_max has not come within eps yet
-        L[(L == L_max) & (_rel_gap(cur, ref) < eps)] = k
+        L[(L == L_max) & (_rel_gap(sums[k], sums[-1]) < eps)] = k
     return L
 
 
 def boundary_solve(
-    p: ModelParams,
-    outer: dict[tuple[int, int], np.ndarray],
-    M: int,
-) -> dict[tuple[int, int], np.ndarray]:
+    p: ModelParams, m: np.ndarray, n: np.ndarray, vals: np.ndarray, M: int
+) -> np.ndarray:
     """Solve the balance equations on ``T_M`` given values outside it.
 
-    One balance equation per state of ``T_M`` (``s`` scalar rows each);
-    neighbors outside the triangle are looked up in ``outer`` and moved to
-    the right-hand side.  Transitions change ``m + |n|`` by at most one, so
-    only the ring ``m + |n| = M + 1`` is ever consulted.
+    Row ``i`` of the real array ``vals`` is the value at ``(m[i], n[i])``, a
+    state outside ``T_M``.  Every stencil entry of every ``T_M`` equation is
+    scattered into one dense matrix at once; the entries on outside states
+    move to the right-hand side in stencil order.  Transitions change
+    ``m + |n|`` by at most one, so only the ring ``m + |n| = M + 1`` is ever
+    consulted.  Returns the ``(|T_M|, s)`` values in triangle order.
     """
-    rm = build_rate_matrices(p)
     s = p.s
-    states = list(triangle_states(M))
-    pos = {st: i for i, st in enumerate(states)}
-    size = s * len(states)
-    A = np.zeros((size, size))
-    rhs = np.zeros(size)
-    for st in states:
-        row = s * pos[st]
-        for mm, nn, block in equation_stencil(rm, s, st[0], st[1]):
-            if (mm, nn) in pos:
-                col = s * pos[(mm, nn)]
-                A[row : row + s, col : col + s] += block
-            else:
-                if (mm, nn) not in outer:
-                    raise MissingNeighbor(
-                        f"triangle solve needs outer state ({mm}, {nn})"
-                    )
-                rhs[row : row + s] -= block @ np.real(outer[(mm, nn)])
+    tm, tn = _triangle(M)
+    size = len(tm)
+    row = _row_index(np.concatenate([tm, m]), np.concatenate([tn, n]))
+    # one entry per (state, stencil entry), each state's in stencil order
+    here, nm, nn, blocks = map(np.concatenate, zip(*(
+        (np.repeat(rows, len(b)), fm.ravel(), fn.ravel(), np.tile(b, (len(rows), 1, 1)))
+        for rows, fm, fn, b in _families(p, tm, tn)
+    )))
+    there = row(nm, nn)
+    if np.any(there < 0):
+        i = np.argmax(there < 0)
+        raise MissingNeighbor(f"triangle solve needs outer state ({nm[i]}, {nn[i]})")
+    inner, out = there < size, there >= size
+    A = np.zeros((size, s, size, s))
+    A[here[inner], :, there[inner], :] = blocks[inner]
+    rhs = np.zeros((size, s))
+    vec = vals[there[out] - size, :, None]
+    np.subtract.at(rhs, here[out], np.matmul(blocks[out], vec)[:, :, 0])
+    A = A.reshape(size * s, size * s)
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularSystem(f"triangle system condition {cond:.3e} exceeds 1e12")
-    x = np.linalg.solve(A, rhs)
-    return {st: x[s * pos[st] : s * (pos[st] + 1)] for st in states}
+    return np.linalg.solve(A, rhs.ravel()).reshape(size, s)
+
+
+def _families(p: ModelParams, m: np.ndarray, n: np.ndarray):
+    """Each balance-equation family's states among ``(m[i], n[i])``.
+
+    Yields ``(rows, nm, nn, blocks)``: the equation of state ``rows[i]``
+    reads ``sum_j blocks[j] @ p(nm[i, j], nn[i, j])``, its own block first.
+    """
+    rm = build_rate_matrices(p)
+    zero, edge = m == 0, np.clip(n, -2, 2)
+    for (at_zero, at_edge), fam in FAMILY_OF.items():
+        rows = np.flatnonzero((zero == at_zero) & (edge == at_edge))
+        dm, dn, blocks = map(np.array, zip(*family_stencil(rm, p.s, fam)))
+        yield rows, m[rows, None] + dm, n[rows, None] + dn, blocks
 
 
 def _row_index(m: np.ndarray, n: np.ndarray):
-    """Map from index arrays ``(mm, nn)`` to the rows of ``(m[i], n[i])``, else -1."""
-    top = int(np.max(m + np.abs(n)))
+    """Map from index arrays ``(mm, nn)`` to the rows of ``(m[i], n[i])``, else -1.
+
+    Valid for states up to one ring beyond the farthest ``(m[i], n[i])``.
+    """
+    top = int(np.max(m + np.abs(n))) + 1
     row = np.full((top + 1, 2 * top + 1), -1)
     row[m, n + top] = np.arange(len(m))
     return lambda mm, nn: row[mm, nn + top]
@@ -316,17 +336,14 @@ def _worst_residual(
     ``T_{span+1}``, which holds every neighbor.  The residuals are summed
     one family and one stencil entry at a time, over all states at once.
     """
-    rm = build_rate_matrices(p)
     rate = (1 + p.s) * (p.rho + 1)
     row = _row_index(m, n)
     tm, tn = _triangle(span)
     worst = 0.0
-    for (at_zero, edge), fam in FAMILY_OF.items():
-        here = ((tm == 0) == at_zero) & (np.clip(tn, -2, 2) == edge)
-        fm, fn = tm[here], tn[here]
+    for _, nm, nn, blocks in _families(p, tm, tn):
         res = local = 0.0
-        for dm, dn, block in family_stencil(rm, p.s, fam):
-            vec = probs[row(fm + dm, fn + dn)]
+        for j, block in enumerate(blocks):
+            vec = probs[row(nm[:, j], nn[:, j])]
             res = res + np.matmul(block, vec[:, :, None])[:, :, 0]
             local = np.maximum(local, np.abs(vec).max(axis=1))
         rel = np.abs(res).max(axis=1) / (rate * np.maximum(local, TINY))
@@ -356,11 +373,8 @@ def solve(p: ModelParams, cfg: SolverConfig | None = None) -> EquilibriumSolutio
     scale = np.abs(series).max(axis=1)
     live = scale > 0
     rel_imag = np.abs(series.imag).max(axis=1)[live] / scale[live]
-    outer = zip(m[:cut].tolist(), n[:cut].tolist())
-    inner = boundary_solve(p, dict(zip(outer, series.real)), M)
-    probs, C, clipped = normalize(
-        np.concatenate([series.real, list(inner.values())])
-    )
+    inner = boundary_solve(p, m[:cut], n[:cut], series.real, M)
+    probs, C, clipped = normalize(np.concatenate([series.real, inner]))
 
     ring = sum(probs[m + np.abs(n) == K].sum(axis=1))
     r = p.rho ** (1 + p.s)

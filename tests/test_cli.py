@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from sedq.cli import RunConfig, _write_json, main
+from sedq.cli import _write_json, main
 
 
 def run_cli(argv, capsys):
@@ -251,11 +251,6 @@ class TestLmapCommand:
 
 
 class TestConfig:
-    def test_round_trip(self):
-        cfg = RunConfig(s=3, rho=0.75, q=0.4, eps=1e-6, lmax=12, m=4, k=50,
-                        format="json", out="x.json")
-        assert RunConfig.from_json(cfg.to_json()) == cfg
-
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"s": 2, "rho": 0.5, "q": 0.4}))
@@ -292,6 +287,11 @@ MODEL = ["--s", "2", "--rho", "0.5", "--q", "0.4"]
         (["solve", "--s", "2", "--rho", "nan", "--q", "0.4"], None),
         (["nindex", "--q", "0.4", "--rho-list", "nan"], None),
         (["solve", *MODEL, "--eps", "nan"], None),
+        (["lmap", *MODEL, "--lmax", "0"], None),
+        (["lmap", *MODEL, "--eps", "nan"], None),
+        (["lmap", *MODEL, "--eps", "-1"], None),
+        (["validate", *MODEL, "--tol", "nan"], None),
+        (["validate", *MODEL, "--simulate", "--events", "1e400"], None),
     ],
     ids=[
         "config-unknown-key", "config-bad-json", "config-not-object",
@@ -299,7 +299,8 @@ MODEL = ["--s", "2", "--rho", "0.5", "--q", "0.4"]
         "negative-window", "s-list-not-int", "rho-list-not-float",
         "negative-span", "config-eps-string", "config-lmax-float",
         "config-format-xml", "config-s-bool", "rho-nan", "nindex-rho-nan",
-        "eps-nan",
+        "eps-nan", "lmap-lmax-zero", "lmap-eps-nan", "lmap-eps-negative",
+        "tol-nan", "events-overflow",
     ],
 )
 def test_bad_input_exits_two(argv, config, tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,18 @@ from sedq.oracle import (
 )
 
 P21 = validate_params(2, 0.5, 0.4)
+
+# sha256 of the box probabilities in row-major (q1, q2) order followed by the
+# boundary mass, as float64 bytes.  q = 0 and q = 1 keep the zero-rate tie
+# moves as explicit generator entries, which steer the sparse LU's ordering.
+ORACLE_DIGESTS = {
+    ((2, 0.5, 0.4), (12, 30)):
+        "5af83b502cc51e31981320483db35e675fbd4bff3a9767198f4d13a65b875674",
+    ((3, 0.7, 0.0), (40, 120)):
+        "e1e58a7dc4bc3dfd9067efa394daf550079e05544be475f83a1bb6f4ba5b0f81",
+    ((1, 0.8, 1.0), (60, 60)):
+        "c06c2564a7d013576669afe395c40ea978c0e0ac49c3abfff8705df2c30b0f3c",
+}
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +94,14 @@ class TestOracleSolve:
 
         for (m, n) in [(1, 2), (2, 0), (0, 3), (3, -2), (0, 0), (1, -1)]:
             assert rel_residual(P21, prob, m, n) < 1e-8
+
+
+@pytest.mark.parametrize("triple, box", ORACLE_DIGESTS, ids=str)
+def test_oracle_digest(triple, box):
+    res = oracle_solve(validate_params(*triple), TruncationBox(*box))
+    vals = [res.probs[(q1, q2)] for q1 in range(box[0] + 1) for q2 in range(box[1] + 1)]
+    data = np.array(vals + [res.boundary_mass]).tobytes()
+    assert hashlib.sha256(data).hexdigest() == ORACLE_DIGESTS[(triple, box)]
 
 
 class TestRouting:

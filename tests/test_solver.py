@@ -107,23 +107,21 @@ class TestAdaptiveL:
 class TestBoundarySolve:
     def test_system_solution_satisfies_inner_equations(self, sol21):
         M = sol21.M
-        outer = {
-            st: sol21.probs[st]
-            for st in sol21.probs
-            if st[0] + abs(st[1]) > M
-        }
-        inner = boundary_solve(P21, outer, M)
-        assert len(inner) == (M + 1) ** 2
+        out = sol21.m + np.abs(sol21.n) > M
+        inner = boundary_solve(P21, sol21.m[out], sol21.n[out], sol21.dist[out], M)
+        assert inner.shape == ((M + 1) ** 2, P21.s)
+        vals = dict(zip(triangle_states(M), inner))
 
         def prob(m, n):
-            return inner[(m, n)] if (m, n) in inner else outer[(m, n)]
+            return vals[(m, n)] if (m, n) in vals else sol21.probs[(m, n)]
 
         for (m, n) in triangle_states(M):
             assert rel_residual(P21, prob, m, n) < 1e-10
 
     def test_missing_neighbor(self):
-        with pytest.raises(MissingNeighbor):
-            boundary_solve(P21, {}, 2)
+        none = np.zeros(0, dtype=int)
+        with pytest.raises(MissingNeighbor, match=r"outer state \(\d+, -?\d+\)"):
+            boundary_solve(P21, none, none, np.zeros((0, P21.s)), 2)
 
 
 class TestNormalize:
