@@ -28,7 +28,7 @@ import numpy as np
 
 from ._linalg import solve_checked
 from .errors import SearchExhausted
-from .kernel import f_pm, roots_of_unity, v_ratio_roots
+from .kernel import f_pm, roots_of_unity, v_ratio_roots, w_ratio_roots
 from .model import ModelParams
 
 __all__ = [
@@ -76,16 +76,10 @@ def limit_roots(
     Both discriminants are positive for rho in (0, 1); Vieta gives
     ``v_plus*v_minus = 1/((1+s)*rho)`` and ``w_minus*f0_plus^s = 1``.
     """
-    s = p.s
-    b = (1 + s) * p.rho
     v_minus, v_plus = v_ratio_roots(p)
+    w_minus, w_plus = w_ratio_roots(p)
     fp0, fm0 = f_pm(0.0, p)
-    fp0, fm0 = fp0.real, fm0.real
-    power_sum = s**s * (fp0**s + fm0**s)
-    wdisc = np.sqrt(power_sum**2 - 4 * b**s * s**s)
-    w_plus = (power_sum + wdisc) / (2 * b**s)
-    w_minus = (s**s / b**s) / w_plus
-    return v_minus, v_plus, w_minus, w_plus, fm0, fp0
+    return v_minus, v_plus, w_minus, w_plus, fm0.real, fp0.real
 
 
 def _limit_system_matrix(p: ModelParams, v_minus: float) -> np.ndarray:
@@ -127,29 +121,19 @@ def limit_coeffs(p: ModelParams) -> LimitConstants:
             tie + w_minus * f0p ** (s - 1)
         )
 
-    A = _limit_system_matrix(p, v_minus)
+    # row j < s: the upper children of branch j + 1; row s: the lower child
     units = roots_of_unity(s)
     r = np.arange(s)
-    e0 = np.zeros(s, dtype=complex)
-    e0[0] = 1.0
-
-    K_pos_ch = 0.0
-    for j in range(s):
-        w_j = (v_plus ** (r / s)) * units[j] ** r
-        rhs = np.concatenate(
-            [-v_plus * w_j - K_pos_chs1 * w_minus * f0p ** (s - 1) * e0, w_j]
-        )
-        a_j = solve_checked(A, rhs, "horizontal limit system")[0:s]
-        K_pos_ch = max(K_pos_ch, float(np.max(np.abs(a_j))))
-
-    rhs = np.concatenate(
-        [
-            -(w_plus * f0m ** (s - 1) + K_neg_chs1 * w_minus * f0p ** (s - 1)) * e0,
-            np.zeros(s, dtype=complex),
-        ]
-    )
-    c_vec = solve_checked(A, rhs, "horizontal limit system")[0:s]
-    K_neg_ch = float(np.max(np.abs(c_vec)))
+    w = (v_plus ** (r / s)) * units[:, None] ** r
+    rhs = np.zeros((s + 1, 2 * s), dtype=complex)
+    rhs[:s, :s] = -v_plus * w
+    rhs[:s, 0] -= K_pos_chs1 * w_minus * f0p ** (s - 1)
+    rhs[:s, s:] = w
+    rhs[s, 0] = -(w_plus * f0m ** (s - 1) + K_neg_chs1 * w_minus * f0p ** (s - 1))
+    A = np.broadcast_to(_limit_system_matrix(p, v_minus), (s + 1, 2 * s, 2 * s))
+    coeffs = np.abs(solve_checked(A, rhs, "horizontal limit system")[:, :s])
+    K_pos_ch = float(np.max(coeffs[:s]))
+    K_neg_ch = float(np.max(coeffs[s]))
 
     return LimitConstants(
         s=s,

@@ -33,19 +33,20 @@ which is polynomial in both variables and owns exactly one in-disk root on
 each side.
 
 Root finding follows one strategy throughout: rescale the unknown by the
-fixed variable (so all interesting roots live in the unit disk), expand into
-a polynomial, take companion-matrix eigenvalues, keep the in-disk roots,
-polish with a few complex Newton steps, and certify the in-disk count with an
-argument-principle winding number over the disk boundary.  Violations raise
+fixed variable (so all interesting roots live in the unit disk), certify the
+in-disk count with an argument-principle winding number over the disk
+boundary, and run complex Newton from the root's small-alpha limit.  As alpha
+shrinks the in-disk ratios ``beta/alpha`` coalesce at ``v-`` (upper kernel,
+:func:`v_ratio_roots`) and ``w-`` (lower kernel, :func:`w_ratio_roots`), so
+that limit is the one start of each root.  Violations raise
 :class:`~sedq.errors.RootCountMismatch` rather than being repaired silently.
 
 Every function takes a scalar or an array through one numpy implementation.
 :func:`betas_pos` and :func:`beta_neg` take a scalar alpha or a 1-D stack:
-the stack is certified in one contour evaluation, seeded by one ``eigvals``
-call per companion size and polished by one masked Newton iteration over all
-its roots.  The vertical roots and the eigenvectors broadcast their
-arguments.  The arithmetic is elementwise, so a scalar call returns the bits
-of its row in a stack.
+the stack is certified in one contour evaluation and solved by one masked
+Newton iteration over all its roots.  The vertical roots and the
+eigenvectors broadcast their arguments.  The arithmetic is elementwise, so a
+scalar call returns the bits of its row in a stack.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ __all__ = [
     "kernel_matrix_neg",
     "winding_count",
     "v_ratio_roots",
+    "w_ratio_roots",
 ]
 
-#: residual tolerance (relative) for accepting a polished root
+#: residual tolerance (relative) for accepting a root
 ROOT_RTOL = 1e-10
 #: coincidence threshold, relative to the expected branch-splitting scale
 DISTINCT_ATOL = 1e-8
@@ -86,7 +88,7 @@ CONTOUR_POINTS = 2048
 CONTOUR = np.exp(1j * np.linspace(0.0, 2 * np.pi, CONTOUR_POINTS + 1))
 #: polynomials per contour evaluation in :func:`winding_count` (bounds memory)
 CONTOUR_ROWS = 4
-#: Newton steps per start in :func:`_branch_newton`
+#: Newton steps per root in :func:`_branch_newton` and :func:`beta_neg`
 NEWTON_STEPS = 60
 
 
@@ -262,37 +264,28 @@ def winding_count(coeffs: np.ndarray, radius: float) -> int | np.ndarray:
     return int(counts[0]) if coeffs.ndim == 1 else counts
 
 
-def _companion_roots(coeffs: np.ndarray, min_degree: int) -> np.ndarray:
-    """Roots of each row polynomial of ``coeffs``, padded with nan.
-
-    Top coefficients below 1e-20 of a row's largest are dropped first (down
-    to ``min_degree``): deep in the tree the highest powers carry factors
-    like ``alpha^s``, their roots sit far outside the unit disk, and the
-    grading wrecks the companion matrix.  The roots only seed a Newton
-    polish against the full equation, so the cut can be aggressive.  Rows of
-    one trimmed size share one stacked ``eigvals`` call.
-    """
-    k, n = coeffs.shape
-    mags = np.abs(coeffs)
-    big = mags >= 1e-20 * mags.max(axis=1, keepdims=True)
-    sizes = np.maximum(n - np.argmax(big[:, ::-1], axis=1), min_degree + 1)
-    out = np.full((k, n - 1), np.nan, dtype=complex)
-    for size in np.unique(sizes):
-        rows = np.flatnonzero(sizes == size)
-        c = coeffs[rows, :size]
-        mat = np.zeros((len(rows), size - 1, size - 1), dtype=complex)
-        mat[:, np.arange(1, size - 1), np.arange(size - 2)] = 1
-        mat[:, :, -1] -= c[:, :-1] / c[:, -1:]
-        out[rows, : size - 1] = np.linalg.eigvals(mat)
-    return out
-
-
 def v_ratio_roots(p: ModelParams) -> tuple[float, float]:
     """Limit ratios ``v-, v+``: roots of ``v^2*(1+s)*rho - v*(1+s)*(rho+1) + 1``."""
     _, b = _ab(p)
     disc = math.sqrt((p.rho + 1) ** 2 - 4 * p.rho / (1 + p.s))
     v_plus = (p.rho + 1 + disc) / (2 * p.rho)
     return (1.0 / b) / v_plus, v_plus
+
+
+def w_ratio_roots(p: ModelParams) -> tuple[float, float]:
+    """Limit ratios ``w-, w+``: roots of ``w^2*((1+s)*rho)^s - w*W(0) + s^s``.
+
+    ``W(0) = s^s*(fp0^s + fm0^s)`` with ``fp0, fm0 = f_pm(0)``; the
+    discriminant is positive for rho in (0, 1).
+    """
+    _, b = _ab(p)
+    s = p.s
+    fp0, fm0 = f_pm(0.0, p)
+    fp0, fm0 = fp0.real, fm0.real
+    power_sum = s**s * (fp0**s + fm0**s)
+    wdisc = np.sqrt(power_sum**2 - 4 * b**s * s**s)
+    w_plus = (power_sum + wdisc) / (2 * b**s)
+    return (s**s / b**s) / w_plus, w_plus
 
 
 def _check_distinct(values: np.ndarray, radius: np.ndarray, s: int) -> None:
@@ -334,9 +327,9 @@ def _branch_residual_z(z, sigma, a: float, b: float, s: int):
 
 
 def _branch_newton(starts: np.ndarray, sigma: np.ndarray, p: ModelParams):
-    """Newton on the branch equations from every start at once.
+    """Newton on the branch equations from the ``(k, s)`` starts.
 
-    ``sigma`` broadcasts against ``starts``.  An entry stops once
+    ``sigma`` has the shape of ``starts``.  An entry stops once
     ``|step| <= 1e-15*|z|``, when the step is not finite, or after
     :data:`NEWTON_STEPS` steps.  Returns the final iterates and which of
     them are in-disk branch roots to a relative 1e-12.
@@ -344,8 +337,8 @@ def _branch_newton(starts: np.ndarray, sigma: np.ndarray, p: ModelParams):
     a, b = _ab(p)
     s = p.s
     z = starts.ravel().copy()
-    sigma = np.broadcast_to(sigma, starts.shape).ravel()
-    live = np.flatnonzero(np.isfinite(z) & (z != 0))
+    sigma = sigma.ravel()
+    live = np.arange(z.size)
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_STEPS):
             if not live.size:
@@ -371,13 +364,10 @@ def betas_pos(alpha, p: ModelParams) -> np.ndarray:
     ``(k, s)``; column ``j`` is the root of branch ``j + 1``.  The in-disk
     count is certified by the winding number of the determinant (in
     ``z = beta/alpha``) over the unit circle; each root is then located on
-    its own branch equation by Newton.  Companion-matrix eigenvalues seed
-    the iteration, backed by the small-alpha asymptotic start
+    its own branch equation by Newton from the small-alpha asymptotic start
     ``z = v- + s*sigma*v-^(1+1/s) / (b*(v+ - v-))``: the in-disk roots
-    coalesce at ``v-`` as alpha shrinks, which starves the companion matrix
-    of accuracy exactly where the asymptotics turn sharp.  Each branch runs
-    Newton from the two in-disk seeds nearest its asymptotic start and from
-    that start, and takes the first that lands on an in-disk root.
+    coalesce at ``v-`` as alpha shrinks and split along their branches at
+    order ``alpha^(1/s)``.
     """
     _in_disk(alpha, "alpha")
     a, b = _ab(p)
@@ -390,23 +380,15 @@ def betas_pos(alpha, p: ModelParams) -> np.ndarray:
         raise RootCountMismatch(
             f"positive kernel does not have exactly {s} roots inside the disk"
         )
-    seeds = _companion_roots(coeffs, 2)
-    seeds[~(np.abs(seeds) < 1.0)] = np.nan
     v_minus, v_plus = v_ratio_roots(p)
     sigma = principal_root(alpha, s)[:, None] * roots_of_unity(s)
-    asymptotic = v_minus + s * sigma * v_minus ** (1 + 1 / s) / (b * (v_plus - v_minus))
-    # argsort puts nan (no seed) last
-    gap = np.abs(seeds[:, None, :] - asymptotic[:, :, None])
-    near = np.argsort(gap, axis=-1, kind="stable")[:, :, :2]
-    nearest = np.take_along_axis(seeds[:, None, :], near, -1)
-    starts = np.concatenate([nearest, asymptotic[:, :, None]], axis=-1)
-    z, ok = _branch_newton(starts, sigma[:, :, None], p)
-    if not np.all(ok.any(axis=-1)):
-        i, j = np.argwhere(~ok.any(axis=-1))[0]
+    start = v_minus + s * sigma * v_minus ** (1 + 1 / s) / (b * (v_plus - v_minus))
+    z, ok = _branch_newton(start, sigma, p)
+    if not np.all(ok):
+        i, j = np.argwhere(~ok)[0]
         raise RootCountMismatch(
             f"no in-disk root found on branch {j + 1} at alpha = {alpha[i]}"
         )
-    z = np.take_along_axis(z, np.argmax(ok, axis=-1)[:, :, None], -1)[:, :, 0]
     a2 = alpha[:, None]
     beta = a2 * z
     _check_residual(det_pos(a2, beta, p), _det_pos_scale(a2, beta, p))
@@ -453,7 +435,9 @@ def beta_neg(alpha, p: ModelParams):
     """The unique root of the negative kernel inside ``|beta| < |alpha|``.
 
     ``alpha`` is a scalar, or a 1-D array for one root per entry (certified
-    and seeded together, as in :func:`betas_pos`).
+    and solved together, as in :func:`betas_pos`).  Newton on the
+    determinant in ``z = beta/alpha`` starts from its small-alpha limit
+    ``w-`` and stops as :func:`_branch_newton` does.
     """
     _in_disk(alpha, "alpha")
     _, b = _ab(p)
@@ -467,22 +451,17 @@ def beta_neg(alpha, p: ModelParams):
         raise RootCountMismatch(
             "negative kernel does not have exactly one root inside the disk"
         )
-    roots = _companion_roots(coeffs, 2)
-    inside = np.abs(roots) < 1.0
-    found = inside.sum(axis=1)
-    if np.any(found != 1):
-        raise RootCountMismatch(
-            f"expected 1 in-disk root, companion matrix found {found[found != 1][0]}"
-        )
-    z = roots[inside]
     dcoeffs = npoly.polyder(coeffs, axis=1)
-    moving = np.ones(len(z), dtype=bool)
+    z = np.full(len(alpha), w_ratio_roots(p)[0], dtype=complex)
+    live = np.arange(len(z))
     with np.errstate(all="ignore"):
-        for _ in range(4):
-            step = _horner(coeffs, z) / _horner(dcoeffs, z)
-            moving &= np.isfinite(step)
-            z = np.where(moving, z - step, z)
-            moving &= np.abs(step) >= 1e-16 * np.abs(z)
+        for _ in range(NEWTON_STEPS):
+            if not live.size:
+                break
+            step = _horner(coeffs[live], z[live]) / _horner(dcoeffs[live], z[live])
+            z[live] -= step
+            live = live[np.abs(step) > 1e-15 * np.abs(z[live])]
+    _in_disk(z, "beta/alpha")
     beta = alpha * z
     _check_residual(det_neg(alpha, beta, p), _det_neg_scale(alpha, beta, p))
     return beta

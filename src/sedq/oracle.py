@@ -126,12 +126,13 @@ def oracle_solve(
     dst = [here[allowed] + step for allowed, step, _ in moves] + [here.ravel()]
     val = [rate[allowed] for allowed, _, rate in moves] + [-outflow.ravel()]
     src, dst, val = (np.concatenate(x) for x in (src, dst, val))
-    # balance rows A @ pi = 0 with row 0 replaced by the normalization
+    # balance rows A @ pi = 0 with row 0 replaced by pi[0] = 1: one unit entry
+    # instead of a row of ones, which would fill the LU factors
     keep = dst > 0
     size = n1 * n2
-    dst = np.append(dst[keep], np.zeros(size, int))
-    src = np.append(src[keep], np.arange(size))
-    val = np.append(val[keep], np.ones(size))
+    dst = np.append(dst[keep], 0)
+    src = np.append(src[keep], 0)
+    val = np.append(val[keep], 1.0)
     A = sp.coo_matrix((val, (dst, src)), shape=(size, size))
     b = np.zeros(size)
     b[0] = 1.0
@@ -141,6 +142,7 @@ def oracle_solve(
         raise SingularGenerator(f"sparse solve failed: {exc}") from exc
     if not np.all(np.isfinite(pi)):
         raise SingularGenerator("sparse solve produced non-finite entries")
+    pi /= pi.sum()
     if pi.min() < -1e-9:
         raise SingularGenerator(f"stationary solve went negative: {pi.min():.3e}")
     pi = np.clip(pi, 0.0, None)
@@ -203,9 +205,6 @@ def simulate(p: ModelParams, cfg: SimConfig, n_batches: int = 100) -> SimResult:
 
     q1 = q2 = 0
     measured = cfg.events - cfg.warmup
-    batch_of = [
-        (i * n_batches) // measured if measured > 0 else 0 for i in range(measured)
-    ]
     batches: list[dict[tuple[int, int], float]] = [{} for _ in range(n_batches)]
     batch_time = [0.0] * n_batches
 
@@ -215,7 +214,7 @@ def simulate(p: ModelParams, cfg: SimConfig, n_batches: int = 100) -> SimResult:
         total = lam + r1 + r2
         dt = -log(1.0 - uniform()) / total
         if i >= cfg.warmup:
-            bi = batch_of[i - cfg.warmup]
+            bi = (i - cfg.warmup) * n_batches // measured
             key = (q1, q2)
             acc = batches[bi]
             acc[key] = acc.get(key, 0.0) + dt

@@ -332,6 +332,28 @@ class TestStackedRoots:
         for fn in (eigvec_pos, eigvec_neg):
             assert (fn(alphas, betas, p) == [fn(a, b, p) for a, b in pairs]).all()
 
+    @pytest.mark.parametrize("rho", [0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("s", range(1, 11))
+    def test_roots_from_tiny_to_near_unit_alpha(self, s, rho):
+        # each root has one Newton start, its small-alpha limit; the stack
+        # spans |alpha| from where the roots coalesce to the edge of the disk
+        p = validate_params(s, rho, 0.4)
+        mods = np.logspace(-12, math.log10(0.999), 25)
+        alphas = (mods[:, None] * np.exp(2j * np.pi * np.arange(8) / 8)).ravel()
+        upper = betas_pos(alphas, p)
+        assert np.all(branch_residuals(alphas[:, None], upper, p) <= 1e-12)
+        assert np.all(np.abs(upper) < np.abs(alphas)[:, None])
+        i, j = np.triu_indices(s, 1)
+        gap = np.abs(upper[:, i] - upper[:, j])
+        assert np.all(gap > 1e-8 * np.abs(alphas)[:, None] ** (1 + 1 / s))
+        lower = beta_neg(alphas, p)
+        assert np.all(np.abs(lower) < np.abs(alphas))
+        fp, fm = f_pm(lower, p)
+        a, b = np.abs(alphas), np.abs(lower)
+        terms = a * a * s**s + b * b * ((1 + s) * rho) ** s
+        terms += a * b * s**s * (np.abs(fp) ** s + np.abs(fm) ** s)
+        assert np.all(np.abs(det_neg(alphas, lower, p)) <= 1e-12 * terms)
+
     def test_stack_rejects_any_alpha_outside_unit_disk(self):
         with pytest.raises(RootCountMismatch):
             betas_pos(np.array([0.125, 1.2]), P21)

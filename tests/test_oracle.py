@@ -23,11 +23,11 @@ P21 = validate_params(2, 0.5, 0.4)
 # moves as explicit generator entries, which steer the sparse LU's ordering.
 ORACLE_DIGESTS = {
     ((2, 0.5, 0.4), (12, 30)):
-        "5af83b502cc51e31981320483db35e675fbd4bff3a9767198f4d13a65b875674",
+        "384cfe06dad32a0c77574db388719e68cdc2fdfd07f9e1c8da019fb5c8ef9931",
     ((3, 0.7, 0.0), (40, 120)):
-        "e1e58a7dc4bc3dfd9067efa394daf550079e05544be475f83a1bb6f4ba5b0f81",
+        "581b934718ab7fef143e7fb59e728754ede280a4f860f54e42c42675775b5a91",
     ((1, 0.8, 1.0), (60, 60)):
-        "c06c2564a7d013576669afe395c40ea978c0e0ac49c3abfff8705df2c30b0f3c",
+        "eafb5b40e4d662fa4a84ccc86bf59268881244bc8b4a912e063f7bca34f807cd",
 }
 
 
