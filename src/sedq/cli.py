@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -102,6 +103,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     for key in ("s", "rho", "q"):
         if key not in base:
             raise InvalidParam(f"missing required parameter --{key}")
+    # an unwritable output path is bad input, found before any work is done
+    paths = {"--out": base.get("out"), "--dump-tree": getattr(args, "dump_tree", None)}
+    for flag, path in paths.items():
+        if path in (None, "-"):
+            continue
+        target = path if os.path.exists(path) else os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise InvalidParam(f"{flag} {path} is not a writable file path")
     return RunConfig(**base)
 
 

@@ -3,18 +3,16 @@
 The stationary distribution is assembled from product forms
 ``coeff * alpha^m * beta^|n| * vec`` added in alternating repair passes:
 
-* Level 0 is the unique triple (``s`` upper-quadrant forms sharing
-  ``alpha = rho^(1+s)``, a horizontal vector for the ``n = 0`` row, one
-  lower-quadrant form) satisfying the interior *and* horizontal balance
-  equations.
+* A *horizontal pass* repairs the ``n in {-1, 0, 1}`` rows: each vertical
+  term spawns ``s`` new upper forms, one lower form and a fresh horizontal
+  vector, solved from a dense ``(2s+1) x (2s+1)`` system.  Level 0 solves
+  the same system without a parent at ``alpha = rho^(1+s)``, closed by
+  ``c_{s+1} = 1`` instead of the tie-breaking row, which holds there anyway.
 * A *vertical pass* repairs the ``m = 0`` boundary: each upper form gains a
   partner with the same beta, the partner alpha being the second root of its
   branch quadratic (which shares the eigenvector); each lower form gains the
   unique in-disk partner of the negative kernel.  The two-term sums satisfy
   the vertical equations exactly.
-* A *horizontal pass* repairs the ``n in {-1, 0, 1}`` rows: each vertical
-  term spawns ``s`` new upper forms, one lower form and a fresh horizontal
-  vector, solved from a dense ``(2s+1) x (2s+1)`` system.
 
 Each vertical term therefore has ``s + 1`` children, giving an (s+1)-ary
 tree.  Within level ``l`` the parent ``i`` owns child indices
@@ -22,16 +20,15 @@ tree.  Within level ``l`` the parent ``i`` owns child indices
 
 The tree stores every level of each kind (``hat_pos``, ``hat_neg``,
 ``tilde_pos``, ``tilde_neg``, ``h_vecs``) as one :class:`Block` of arrays;
-the level and kind of a term are where its block is stored.  An ``n = 0``
-row vector is a block row with ``beta = coeff = 1``, so one formula
-evaluates every block.  Every repair step maps blocks to blocks: a vertical
-pass maps a level to its partner level in one call per kind, and a
-horizontal pass repairs :data:`REPAIR_CHUNK` vertical terms per call of
-:func:`horizontal_repair`, with stacked root searches and one stacked solve.
-Rows are independent, so a step that fails is re-run one row at a time to
-name the failing node.  Moduli decrease strictly down the tree, so
-coefficients eventually underflow; terms whose contribution falls below
-1e-300 are pruned from their level with a counter.
+an ``n = 0`` row vector is a block row with ``beta = coeff = 1``, so one
+formula evaluates every block.  A vertical pass maps a level to its partner
+level in one call per kind, and a horizontal pass repairs
+:data:`REPAIR_CHUNK` vertical terms per call of :func:`horizontal_repair`,
+with stacked root searches and one stacked solve.  Rows are independent, so
+a step that fails is re-run one row at a time to name the failing node.
+Moduli decrease strictly down the tree, so coefficients eventually
+underflow; terms whose contribution falls below 1e-300 are pruned from their
+level with a counter.
 """
 
 from __future__ import annotations
@@ -120,22 +117,59 @@ class Block:
         return out
 
 
-def _children(index, alpha, x, betas, bneg, ipos, ineg) -> tuple[Block, Block, Block]:
-    """Children of nodes ``index`` from the rows ``x = (h, c_1..c_s, c_{s+1})``.
+def _couplings(alpha: np.ndarray, rm: RateMatrices):
+    """``G, M1, M2`` at each ``alpha``: the h, upper and lower blocks of the rows."""
+    a3 = alpha[:, None, None]
+    return rm.A_01 + a3 * rm.A_m11, rm.A_1m1 + a3 * rm.A_0m1, rm.B_11 + a3 * rm.B_01
 
-    ``betas`` (k, s) and ``ipos`` (k, s, s) hold the upper roots and
-    eigenvectors in branch order, ``bneg`` and ``ineg`` the lower ones.
-    Returns the upper, lower and h-vector blocks.
+
+def _repair_children(index, alpha, last, rhs, p: ModelParams, rm: RateMatrices):
+    """Upper, lower and h-vector children of nodes ``index`` at ``alpha`` (k,).
+
+    The children share their node's alpha with the s + 1 in-disk betas of
+    the two kernels; ``x = (h(0..s-1), c_1..c_s, c_{s+1})`` solves the
+    ``(2s+1) x (2s+1)`` system of the s ``n = 1`` rows, the s ``n = 0`` rows
+    and the closing row ``last`` (k, 2s+1), with right-hand sides ``rhs``.
+
+    The systems are solved under their natural grading: in the deep-tree
+    limit the h entries shrink like ``|alpha|^((r+1)/s)`` and each family
+    row carries ``|alpha|^(r/s + 1)`` (``|alpha|`` for the closing row);
+    dividing these out turns each system into a perturbation of the
+    well-conditioned limit system, so the condition check measures genuine
+    rank loss instead of the grading.  All nodes share one stacked root
+    search and one stacked solve.
     """
-    k, s = betas.shape
+    k, s = len(alpha), p.s
+    a3 = alpha[:, None, None]
+    betas = betas_pos(alpha, p)
+    bneg = beta_neg(alpha, p)
+    ipos = eigvec_pos(alpha[:, None], betas, p)  # (k, branch, entry)
+    ineg = eigvec_neg(alpha, bneg, p)
+    G, M1, M2 = _couplings(alpha, rm)
+    cols = ipos.transpose(0, 2, 1)  # column j: the eigenvector of branch j + 1
+
+    A = np.zeros((k, 2 * s + 1, 2 * s + 1), dtype=complex)
+    A[:, 0:s, 0:s] = G
+    A[:, 0:s, s : 2 * s] = -a3 * cols
+    A[:, s : 2 * s, s : 2 * s] = betas[:, None, :] * (M1 @ cols)
+    A[:, s : 2 * s, 0:s] = a3 * rm.B_00
+    A[:, s : 2 * s, 2 * s] = bneg[:, None] * (M2 @ ineg[:, :, None])[:, :, 0]
+    A[:, 2 * s] = last
+
+    aa = np.abs(alpha)[:, None]
+    r = np.arange(s)
+    row = aa ** (-r / s - 1)
+    row_scale = np.concatenate([row, row, 1 / aa], axis=1)
+    col_scale = np.ones_like(row_scale)
+    col_scale[:, :s] = aa ** ((r + 1) / s)
+    scaled = A * row_scale[:, :, None] * col_scale[:, None, :]
+    x = solve_checked(scaled, rhs * row_scale, "horizontal repair system") * col_scale
+
+    # parent i owns the upper children d(i)+1 .. d(i)+s and the lower i*(s+1)
     d = (index - 1) * (s + 1)
-    pos = Block(
-        (d[:, None] + np.arange(1, s + 1)).ravel(),
-        np.repeat(alpha, s),
-        betas.ravel(),
-        x[:, s : 2 * s].ravel(),
-        ipos.reshape(k * s, s),
-    )
+    up_index = (d[:, None] + np.arange(1, s + 1)).ravel()
+    pos = Block(up_index, np.repeat(alpha, s), betas.ravel(), x[:, s : 2 * s].ravel(),
+                ipos.reshape(k * s, s))
     neg = Block(index * (s + 1), alpha, bneg, x[:, 2 * s], ineg)
     ones = np.ones(k, dtype=complex)
     return pos, neg, Block(index, alpha, ones, ones, x[:, :s])
@@ -146,38 +180,17 @@ def initial_solution(
 ) -> tuple[Block, Block, Block]:
     """Level-0 triple with ``alpha = rho^(1+s)``: upper, lower and h-vector block.
 
-    The lower-quadrant coefficient is fixed to 1 (any nonzero choice only
-    rescales the final normalization constant).  The s upper coefficients
-    solve a dense s x s system; the horizontal vector follows by a direct
-    solve.  The result satisfies the interior equations of both quadrants and
-    all three horizontal families.
+    The ``n = 1`` and ``n = 0`` rows of a horizontal repair without a source,
+    closed by ``c_{s+1} = 1`` (any nonzero lower coefficient only rescales the
+    normalization).  At this alpha the tie-breaking ``n = -1`` row follows
+    from the others, so the triple satisfies the interior equations of both
+    quadrants and all three horizontal families.
     """
     if rm is None:
         rm = build_rate_matrices(p)
-    s = p.s
-    alpha = p.rho ** (1 + s)
-    betas = betas_pos(alpha, p)
-    bneg = beta_neg(alpha, p)
-    ipos = eigvec_pos(alpha, betas, p)  # row j: the eigenvector of branch j + 1
-    ineg = eigvec_neg(alpha, bneg, p)
-
-    G = rm.A_01 + alpha * rm.A_m11
-    M1 = rm.A_1m1 + alpha * rm.A_0m1
-    M2 = rm.B_11 + alpha * rm.B_01
-
-    cols = betas * (M1 @ ipos.T) + alpha**2 * (rm.B_00 @ np.linalg.solve(G, ipos.T))
-    rhs = -bneg * (M2 @ ineg)
-    # eigenvector entries grade like alpha^(r/s); undo that row by row
-    grade = abs(alpha) ** (-np.arange(s) / s)
-    c_hat = solve_checked(
-        cols * grade[:, None], rhs * grade, "initial coefficient system"
-    )
-    h = alpha * np.linalg.solve(G, ipos.T @ c_hat)
-    x = np.concatenate([h, c_hat, [1.0]])
-    return _children(
-        np.array([1]), np.array([alpha], dtype=complex), x[None], betas[None],
-        np.array([bneg]), ipos[None], ineg[None],
-    )
+    unit = np.eye(2 * p.s + 1)[-1:]
+    alpha = np.array([p.rho ** (1 + p.s)], dtype=complex)
+    return _repair_children(np.array([1]), alpha, unit, unit, p, rm)
 
 
 def vertical_step_pos(t: Block, p: ModelParams) -> Block:
@@ -217,65 +230,31 @@ def horizontal_repair(
 ) -> tuple[Block, Block, Block]:
     """Children of vertical terms, upper ones where ``upper`` is true.
 
-    Returns the upper, lower and h-vector blocks.  A term's children share
-    its alpha with the s + 1 in-disk betas of the two kernels; their
-    coefficients and h-vector solve the ``(2s+1) x (2s+1)`` system with
-    unknowns ``h(0..s-1), c_1..c_s, c_{s+1}``.  Rows: the s equations of the
-    ``n = 1`` family, the s of the ``n = 0`` family, and the one surviving
-    tie-breaking equation of the ``n = -1`` family
-    ``alpha*s*h(0) + (1+s)*rho*q*h(s-1) - alpha*s*c_{s+1} = rhs``.  An upper
-    term is a source on the ``n = 1, 0`` rows, a lower one on ``n = 0, -1``.
-
-    The systems are solved under their natural grading: in the deep-tree
-    limit the h entries shrink like ``|alpha|^((r+1)/s)`` and each row
-    carries ``|alpha|^(r/s + 1)`` (``|alpha|`` for the tie row); dividing
-    these out turns each system into a perturbation of the well-conditioned
-    limit system, so the condition check measures genuine rank loss instead
-    of the grading.  All terms share one stacked root and solve call.
+    Returns the upper, lower and h-vector blocks of :func:`_repair_children`,
+    closed by the one surviving tie-breaking equation of the ``n = -1``
+    family ``alpha*s*h(0) + (1+s)*rho*q*h(s-1) - alpha*s*c_{s+1} = rhs``.
+    An upper term is a source on the ``n = 1, 0`` rows, a lower one on
+    ``n = 0, -1``.
     """
     if rm is None:
         rm = build_rate_matrices(p)
     s = p.s
-    n = 2 * s + 1
     alpha = terms.alpha
-    a3 = alpha[:, None, None]
-    betas = betas_pos(alpha, p)
-    bneg = beta_neg(alpha, p)
-    ipos = eigvec_pos(alpha[:, None], betas, p)  # (k, branch, entry)
-    ineg = eigvec_neg(alpha, bneg, p)
-    G = rm.A_01 + a3 * rm.A_m11
-    M1 = rm.A_1m1 + a3 * rm.A_0m1
-    M2 = rm.B_11 + a3 * rm.B_01
-    cols = ipos.transpose(0, 2, 1)  # column j: the eigenvector of branch j + 1
-
-    A = np.zeros((len(terms), n, n), dtype=complex)
-    A[:, 0:s, 0:s] = G
-    A[:, 0:s, s : 2 * s] = -a3 * cols
-    A[:, s : 2 * s, s : 2 * s] = betas[:, None, :] * (M1 @ cols)
-    A[:, s : 2 * s, 0:s] = a3 * rm.B_00
-    A[:, s : 2 * s, 2 * s] = bneg[:, None] * (M2 @ ineg[:, :, None])[:, :, 0]
-    A[:, 2 * s, 0] += alpha * s
-    A[:, 2 * s, s - 1] += p.arrival_rate * p.q
-    A[:, 2 * s, 2 * s] += -alpha * s
+    tie = np.zeros((len(terms), 2 * s + 1), dtype=complex)
+    tie[:, 0] += alpha * s
+    tie[:, s - 1] += p.arrival_rate * p.q
+    tie[:, 2 * s] += -alpha * s
 
     # an upper term is a source through M1, a lower one through M2
+    _, M1, M2 = _couplings(alpha, rm)
     up = upper[:, None]
     coeff = terms.coeff[:, None]
     source = np.where(up[:, :, None], M1, M2) @ terms.vec[:, :, None]
-    rhs = np.zeros((len(terms), n), dtype=complex)
+    rhs = np.zeros_like(tie)
     rhs[:, 0:s] = np.where(up, coeff * alpha[:, None] * terms.vec, 0)
     rhs[:, s : 2 * s] = -(coeff * terms.beta[:, None]) * source[:, :, 0]
     rhs[:, 2 * s] = np.where(upper, 0, terms.coeff * alpha * s)
-
-    aa = np.abs(alpha)[:, None]
-    r = np.arange(s)
-    row = aa ** (-r / s - 1)
-    row_scale = np.concatenate([row, row, 1 / aa], axis=1)
-    col_scale = np.ones_like(row_scale)
-    col_scale[:, :s] = aa ** ((r + 1) / s)
-    scaled = A * row_scale[:, :, None] * col_scale[:, None, :]
-    x = solve_checked(scaled, rhs * row_scale, "horizontal repair system") * col_scale
-    return _children(terms.index, alpha, x, betas, bneg, ipos, ineg)
+    return _repair_children(terms.index, alpha, tie, rhs, p, rm)
 
 
 def _named(level: int, step, rows: tuple, *args):

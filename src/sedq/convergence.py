@@ -21,13 +21,13 @@ such that this holds for all ``m + |n| > N`` (and for the ``n = 0`` series at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from ._linalg import solve_checked
-from .errors import SearchExhausted
+from .errors import InvalidParam, SearchExhausted
 from .kernel import f_pm, roots_of_unity, v_ratio_roots, w_ratio_roots
 from .model import ModelParams
 
@@ -101,7 +101,7 @@ def _limit_system_matrix(p: ModelParams, v_minus: float) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def limit_coeffs(p: ModelParams) -> LimitConstants:
-    """All limit constants for ``p`` (cached per parameter triple)."""
+    """All limit constants for ``p`` (cached); :class:`InvalidParam` on overflow."""
     s = p.s
     b = (1 + s) * p.rho
     v_minus, v_plus, w_minus, w_plus, f0m, f0p = limit_roots(p)
@@ -135,7 +135,7 @@ def limit_coeffs(p: ModelParams) -> LimitConstants:
     K_pos_ch = float(np.max(coeffs[:s]))
     K_neg_ch = float(np.max(coeffs[s]))
 
-    return LimitConstants(
+    c = LimitConstants(
         s=s,
         v_minus=float(v_minus),
         v_plus=float(v_plus),
@@ -150,6 +150,11 @@ def limit_coeffs(p: ModelParams) -> LimitConstants:
         K_pos_chs1=complex(K_pos_chs1),
         K_neg_chs1=complex(K_neg_chs1),
     )
+    bad = [f.name for f in fields(c) if not np.isfinite(getattr(c, f.name))]
+    if bad:
+        raise InvalidParam(f"s = {s} is too large at rho = {p.rho}: the limit "
+                           f"constant {bad[0]} overflows the float range")
+    return c
 
 
 def ratio_matrix(kind: str, m: int, n: int, c: LimitConstants) -> np.ndarray:

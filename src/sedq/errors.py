@@ -51,7 +51,7 @@ class NoConvergenceWithinLmax(SedqError):
 
 
 class NonPositiveMass(SedqError):
-    """Normalization was asked to divide by a non-positive total."""
+    """Normalization met a negative-mass row or a non-positive total."""
 
 
 class GridExceedsTruncation(SedqError):

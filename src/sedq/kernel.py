@@ -232,8 +232,8 @@ def _det_neg_scale(alpha, beta, p: ModelParams):
     )
 
 
-def winding_count(coeffs: np.ndarray, radius: float) -> int | np.ndarray:
-    """Number of polynomial zeros inside ``|z| < radius`` by winding number.
+def winding_count(coeffs: np.ndarray) -> int | np.ndarray:
+    """Number of polynomial zeros inside the unit disk by winding number.
 
     ``coeffs`` is one polynomial or a ``(k, deg+1)`` stack of them; a stack
     returns one count per row.  Trapezoid walk of the argument of ``P``
@@ -244,7 +244,7 @@ def winding_count(coeffs: np.ndarray, radius: float) -> int | np.ndarray:
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     rows = np.atleast_2d(coeffs)
-    powers = np.vander(radius * CONTOUR, rows.shape[1], increasing=True).T
+    powers = np.vander(CONTOUR, rows.shape[1], increasing=True).T
     counts = np.empty(len(rows), dtype=int)
     for i in range(0, len(rows), CONTOUR_ROWS):
         w = rows[i : i + CONTOUR_ROWS] @ powers
@@ -376,7 +376,7 @@ def betas_pos(alpha, p: ModelParams) -> np.ndarray:
     coeffs = np.zeros((len(alpha), 2 * s + 2), dtype=complex)
     coeffs[:, : 2 * s + 1] = npoly.polypow(np.array([-1.0, a, -b]), s)
     coeffs[:, s + 1] -= alpha * s**s
-    if np.any(winding_count(coeffs, 1.0) != s):
+    if np.any(winding_count(coeffs) != s):
         raise RootCountMismatch(
             f"positive kernel does not have exactly {s} roots inside the disk"
         )
@@ -447,7 +447,7 @@ def beta_neg(alpha, p: ModelParams):
     coeffs[:, 0] = s**s
     coeffs[:, 2] += b**s
     coeffs[:, 1 : s + 2] -= _waring(p) * alpha[:, None] ** np.arange(s + 1)
-    if np.any(winding_count(coeffs, 1.0) != 1):
+    if np.any(winding_count(coeffs) != 1):
         raise RootCountMismatch(
             "negative kernel does not have exactly one root inside the disk"
         )

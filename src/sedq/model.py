@@ -25,6 +25,7 @@ triangle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -75,8 +76,9 @@ def validate_params(s: int, rho: float, q: float) -> ModelParams:
 
     Raises:
         UnstableSystem: if ``rho >= 1`` (offered load at or above capacity).
-        InvalidParam: if ``s`` is not a positive integer, ``rho <= 0`` or
-            NaN, or ``q`` lies outside ``[0, 1]``.
+        InvalidParam: if ``s`` is not a positive integer or ``s**s`` (a
+            factor of the kernel determinants) exceeds the float range,
+            ``rho <= 0`` or NaN, or ``q`` lies outside ``[0, 1]``.
     """
     if isinstance(s, float):
         if not s.is_integer():
@@ -84,6 +86,8 @@ def validate_params(s: int, rho: float, q: float) -> ModelParams:
         s = int(s)
     if not isinstance(s, (int, np.integer)) or s < 1:
         raise InvalidParam(f"s must be a positive integer, got {s!r}")
+    if s * math.log(s) > math.log(np.finfo(float).max):
+        raise InvalidParam(f"s = {s} is too large: s**s exceeds the float range")
     rho = float(rho)
     q = float(q)
     if rho >= 1.0:

@@ -309,14 +309,15 @@ def normalize(vals: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Scale ``vals`` (one row per state) to total mass one.
 
     Entries in ``(-1e-12, 0)`` are numerical dust and are clipped to zero
-    (their count is returned); anything more negative is an error.  The
+    (their count is returned); anything more negative is a numerical failure
+    and raises :class:`NonPositiveMass`, as a non-positive total does.  The
     total adds the row sums one after another in row order.  Returns
     ``(probabilities, C, clipped)`` with ``C`` the applied factor.
     """
     vals = np.real(np.asarray(vals)).astype(float)
     if np.any(vals < NEGATIVE_DUST):
         i = np.argmax((vals < NEGATIVE_DUST).any(axis=1))
-        raise InvalidParam(f"row {i} carries negative mass {vals[i].min():.3e}")
+        raise NonPositiveMass(f"row {i} carries negative mass {vals[i].min():.3e}")
     neg = vals < 0
     clipped = int(np.count_nonzero(neg))
     vals[neg] = 0.0

@@ -2,6 +2,7 @@ import io
 import json
 import re
 
+import numpy as np
 import pytest
 
 from sedq.cli import _write_json, main
@@ -292,6 +293,9 @@ MODEL = ["--s", "2", "--rho", "0.5", "--q", "0.4"]
         (["lmap", *MODEL, "--eps", "-1"], None),
         (["validate", *MODEL, "--tol", "nan"], None),
         (["validate", *MODEL, "--simulate", "--events", "1e400"], None),
+        (["solve", *MODEL, "--out", "missing/x.csv"], None),
+        (["solve", *MODEL, "--dump-tree", "missing/t.csv"], None),
+        (["heatmap", *MODEL, "--q1max", "2", "--q2max", "2", "--out", "."], None),
     ],
     ids=[
         "config-unknown-key", "config-bad-json", "config-not-object",
@@ -300,7 +304,8 @@ MODEL = ["--s", "2", "--rho", "0.5", "--q", "0.4"]
         "negative-span", "config-eps-string", "config-lmax-float",
         "config-format-xml", "config-s-bool", "rho-nan", "nindex-rho-nan",
         "eps-nan", "lmap-lmax-zero", "lmap-eps-nan", "lmap-eps-negative",
-        "tol-nan", "events-overflow",
+        "tol-nan", "events-overflow", "out-unwritable", "dump-tree-unwritable",
+        "heatmap-out-directory",
     ],
 )
 def test_bad_input_exits_two(argv, config, tmp_path, monkeypatch, capsys):
@@ -311,4 +316,36 @@ def test_bad_input_exits_two(argv, config, tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert "invalid input" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-tree"])
+def test_unwritable_path_rejected_before_solving(flag, tmp_path, monkeypatch, capsys):
+    def no_solve(*args):
+        raise AssertionError("solved before checking the output path")
+
+    monkeypatch.setattr("sedq.cli.solve", no_solve)
+    path = str(tmp_path / "missing" / "x.csv")
+    code, _, err = run_cli(["solve", *MODEL, flag, path], capsys)
+    assert code == 2
+    assert f"{flag} {path}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--s", "80", "--rho", "0.9", "--q", "0.4"],
+        ["solve", "--s", "120", "--rho", "0.5", "--q", "0.4"],
+        ["solve", "--s", "150", "--rho", "0.5", "--q", "0.4"],
+        ["nindex", "--q", "0.4", "--s-list", "120"],
+        ["nindex", "--q", "0.4", "--s-list", "150"],
+        ["lmap", "--s", "150", "--rho", "0.5", "--q", "0.4"],
+    ],
+    ids=["solve-s80", "solve-s120", "solve-s150", "nindex-s120", "nindex-s150", "lmap-s150"],
+)
+def test_large_s_fails_typed(argv, capsys):
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert re.search(r"s = \d+ is too large", err)
     assert out == ""

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -96,11 +98,15 @@ class TestInitialSolution:
         assert rel_residual(P21, prob, 0, -3) > 1e-7
 
     def test_tie_equation_holds(self):
-        # the lone surviving n = -1 row equation pins alpha = rho^(1+s)
-        for p in (P21, P34):
+        # the lone surviving n = -1 row equation pins alpha = rho^(1+s): the
+        # triple is solved with c_{s+1} = 1 in its place and still meets it
+        rhos = (0.01, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95, 0.99)
+        for s, rho, q in itertools.product(range(1, 11), rhos, (0.0, 0.4, 1.0)):
+            p = validate_params(s, rho, q)
             pos, neg, h = initial_solution(p)
             alpha = pos.alpha[0]
-            assert abs(tie_residual(p, alpha, neg, h)) <= 1e-12 * abs(alpha) * p.s
+            residual = abs(tie_residual(p, alpha, neg, h))
+            assert residual <= 1e-12 * abs(alpha) * p.s, (s, rho, q)
 
 
 class TestVerticalStep:

@@ -12,7 +12,7 @@ from sedq.convergence import (
     ratio_matrix,
     spectral_radius,
 )
-from sedq.errors import SingularSystem
+from sedq.errors import InvalidParam, SingularSystem
 from sedq.model import validate_params
 
 params_strategy = st.builds(
@@ -87,6 +87,14 @@ class TestLimitCoeffs:
     def test_tie_always_to_queue_one_is_singular(self):
         with pytest.raises(SingularSystem):
             limit_coeffs(validate_params(2, 0.5, 1.0))
+
+    @pytest.mark.parametrize(
+        "s,rho,name", [(80, 0.9, "w_plus"), (120, 0.5, "w_minus"), (143, 0.05, "w_minus")]
+    )
+    def test_overflowing_constant_is_named(self, s, rho, name):
+        with np.errstate(all="ignore"):
+            with pytest.raises(InvalidParam, match=rf"s = {s} .* {name} overflows"):
+                limit_coeffs(validate_params(s, rho, 0.4))
 
     def test_empirical_level8_agreement(self):
         # the realized vertical/horizontal coefficient ratio approaches the

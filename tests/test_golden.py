@@ -10,17 +10,16 @@ they were recorded with (numpy 2.4.6 linking scipy-openblas 0.3.31, CPython
 of a float and with them the digests, so re-record them from a known-good
 commit before reading a mismatch there as a regression.
 
-The digests were last re-recorded by the change that starts every kernel
-root's Newton iteration from its small-alpha limit (``v-`` on the upper
-kernel, ``w-`` on the lower one) instead of from companion-matrix
-eigenvalues: the roots converge to the same values from another start, so
-their last bits move, and with them the tree dumps of all six solve cases,
-four of the six solve CSVs, the heatmap and the JSON.  That change kept the
-``m,n,r,q1,q2`` and ``kind,level,index`` columns, moved the probabilities by
-at most 1.4e-14 relative and the tree alphas and betas by at most 2.2e-15,
+The digests were last re-recorded by the change that solves the level-0
+triple with the graded, condition-checked horizontal repair system (closed
+by ``c_{s+1} = 1``) in place of its own hand elimination of the h-vector:
+the initial coefficients and h-vector move in their last bits, and with
+them every solve CSV, every tree dump, the heatmap and the JSON.  That change
+kept the ``m,n,r,q1,q2`` and ``kind,level,index`` columns and every tree
+alpha and beta, moved the probabilities by at most 1.8e-15 relative, left
+the repairs of levels 1 and deeper bit-identical for the same input terms,
 and passed the accuracy golden of ``tests/test_reference.py`` unchanged.
-The lmap digest and the ``s2_rho0.5`` and ``s2_rho0.95_k120`` solve digests
-did not move.
+The lmap digest did not move.
 """
 
 import hashlib
@@ -32,39 +31,39 @@ from sedq.cli import main
 CASES = {
     "s2_rho0.5": (
         ["--s", "2", "--rho", "0.5", "--q", "0.4"],
-        "eebec391a00dfd43077285e3d8efd73aa0666faf2e6aed9a6cd3e35d07f8c355",
-        "8c885eaaa300900c1770baf45c3c3164099e51faf00e26d2a6ea9454a9499223",
+        "576af4b24881a0d53a1349cd13244b43d8584fb7af6b917ddb2a40374dc1dd5c",
+        "3a746fb8991cef6cb4e52763c8520cdfe6e1687920bde8890e23d5ee7d463734",
     ),
     # eps 1e-10 grows the tree to 8 passes
     "s3_rho0.75_deep": (
         ["--s", "3", "--rho", "0.75", "--q", "0.4", "--eps", "1e-10"],
-        "5440f91bbecca4d6bd7860150ec7a9e7ae965e05722266bfbbcb92cd4a898ce7",
-        "835b3a11a7938631877156e71348a569e7afc5ece273e8281122398bc9990343",
+        "851c4103830e70a41887178d255115bc77f9c41964cbebdd251e7cc5172f07eb",
+        "3a9b6d149815f11d91cf6413578f4126f5f21576abc1631aff2212248bceebd5",
     ),
     # q = 0 takes the separate tie-break branch of the limit constants
     "s1_rho0.8_q0": (
         ["--s", "1", "--rho", "0.8", "--q", "0.0", "--eps", "1e-10"],
-        "6bc4e975244f9a273f617eab7378d0b594132952d9ef7394cbdecad2756d833f",
-        "7fd12b83ae1173a759693bd06c8e774a757b8a6efc50de535a0c4c372d72244b",
+        "79e58ce1163bdb602e8dbbd0b410630d491efffb07f5024f5ed2a9a7ad1608ee",
+        "cf1069770ea6b0ab22bd0c1fc241ec8604e6e6c22cc3b54e0e324e891d8f4992",
     ),
     # heavy traffic: 14641 states, most of them from the series
     "s2_rho0.95_k120": (
         ["--s", "2", "--rho", "0.95", "--q", "0.4", "--k", "120"],
-        "c9a03be969d0541f65506ce8ce42c70a69d52400568a2dcc3949a2925cec62e7",
-        "8279505088353dd911aea4a6e283125b2139be73908f16da6194831fe53d9a50",
+        "cc95ed616385d4adbf98547b199bd924b8f3fae79acdb3e642169576befe1711",
+        "93c6b56a5b341b07c9f03e301598a033e76eb84d95ee3f4caef7102db44d98a8",
     ),
     # 12440 tree rows: level 4 has 1296 horizontal repairs, so the stacked
     # repair runs many chunks, one of them mixing upper and lower terms
     "s5_rho0.85_deep": (
         ["--s", "5", "--rho", "0.85", "--q", "0.4", "--eps", "1e-10"],
-        "c6d3ffa31d52283e00cab9cfff05a35d06d715efdeb0b24c2aed8bc69fa8f10c",
-        "77f8142889eae93876c30eca2aa37fa97939f9bd80aa25cbd18bc2d9bbac834d",
+        "db293cb85db3456175ec64efbea142b2c6b4b3ab6163f4b09a0c251973f021d4",
+        "75ef9e01daa444d42c74eface372764d8df51fa1c91f2a12367334e988b82924",
     ),
     # s >= 8 rows: row sums take numpy's multi-accumulator path
     "s8_rho0.9": (
         ["--s", "8", "--rho", "0.9", "--q", "0.4"],
-        "dd42928b2c799f8d4380b0a4e2383d3a456f7f5184bd6ae3ac48077a1cc72857",
-        "6c278885f67fc77e571952a68259cab31c805847a205b2ac499034e63a09b890",
+        "594753ece964ccd354e5ed636d01da2e4b59171c6eabe89dffd86f2bd68cf20c",
+        "5aaf250bdffb16a2e74f5c61428955ec2a41778f7bc052f6b1d722b92a252c77",
     ),
 }
 
@@ -75,10 +74,10 @@ LMAP_ARGS = [
 LMAP_DIGEST = "87fa55f2eae6a4081f6e4567bf298fdc4579ea14a3c96e6223cfb034fc6e4fe4"
 
 HEATMAP_ARGS = ["--s", "3", "--rho", "0.9", "--q", "0.4", "--q1max", "30", "--q2max", "60"]
-HEATMAP_DIGEST = "fc386e6657db0fc953568b6a7a1b804f53a4522324510f990f259f82d944ffd7"
+HEATMAP_DIGEST = "43b117e3ff5d92f76bd0c350753ece5d7d62d7f0372669fa639432630e699130"
 
 JSON_ARGS = ["--s", "2", "--rho", "0.6", "--q", "0.4", "--format", "json"]
-JSON_DIGEST = "b72efbea63a3f6ea3b9d9cbd305dc39122f97083b2c5fbc8cf147d09c1ccee63"
+JSON_DIGEST = "8467effb02c767d83763f9e48d3583c76bf6bf2cd9e17bf7e6c0f66c4ed549ed"
 
 
 def _sha256(path) -> str:

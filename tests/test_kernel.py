@@ -285,22 +285,22 @@ class TestEigenvectors:
 class TestWinding:
     def test_single_root_inside(self):
         # (z - 0.5)(z - 2) = z^2 - 2.5 z + 1
-        assert winding_count(np.array([1.0, -2.5, 1.0]), 1.0) == 1
+        assert winding_count(np.array([1.0, -2.5, 1.0])) == 1
 
     def test_double_root_inside(self):
         # (z - 0.5)^2
-        assert winding_count(np.array([0.25, -1.0, 1.0]), 1.0) == 2
+        assert winding_count(np.array([0.25, -1.0, 1.0])) == 2
 
     def test_no_roots_inside(self):
-        assert winding_count(np.array([1.0, 0.0, 0.25]), 1.0) == 0
+        assert winding_count(np.array([1.0, 0.0, 0.25])) == 0
 
     def test_root_on_contour_rejected(self):
         with pytest.raises(RootCountMismatch):
-            winding_count(np.array([-1.0, 1.0]), 1.0)
+            winding_count(np.array([-1.0, 1.0]))
 
     def test_stack_counts_each_row(self):
         stack = np.array([[1.0, -2.5, 1.0], [0.25, -1.0, 1.0], [1.0, 0.0, 0.25]])
-        assert winding_count(stack, 1.0).tolist() == [1, 2, 0]
+        assert winding_count(stack).tolist() == [1, 2, 0]
 
 
 STACK_ALPHAS = [0.125, 0.4, 0.05, 0.3 + 0.1j, -0.2 + 0.3j, 0.01 - 0.6j]

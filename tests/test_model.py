@@ -42,6 +42,15 @@ class TestValidateParams:
         with pytest.raises(UnstableSystem):
             validate_params(2, 1.5, 0.5)
 
+    @pytest.mark.parametrize("s", [144, 150, 10**6, 1e300])
+    def test_s_whose_power_overflows_rejected(self, s):
+        with pytest.raises(InvalidParam, match=r"s = \d+ is too large: s\*\*s"):
+            validate_params(s, 0.5, 0.4)
+
+    def test_largest_s_with_finite_power_accepted(self):
+        # 143**143 is about 1.6e308, still a float
+        assert validate_params(143, 0.5, 0.4).s == 143
+
     def test_integral_float_s_accepted(self):
         assert validate_params(3.0, 0.5, 0.5).s == 3
 

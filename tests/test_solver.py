@@ -145,7 +145,8 @@ class TestNormalize:
         assert probs[0][1] == 0.0
 
     def test_large_negative_rejected(self):
-        with pytest.raises(InvalidParam):
+        # a solver failure, not bad input: the CLI exits 1
+        with pytest.raises(NonPositiveMass):
             normalize(np.array([[1.0, -1e-9]]))
 
     def test_zero_mass_rejected(self):
