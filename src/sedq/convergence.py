@@ -129,7 +129,8 @@ def limit_coeffs(p: ModelParams) -> LimitConstants:
     rhs[:s, :s] = -v_plus * w
     rhs[:s, 0] -= K_pos_chs1 * w_minus * f0p ** (s - 1)
     rhs[:s, s:] = w
-    rhs[s, 0] = -(w_plus * f0m ** (s - 1) + K_neg_chs1 * w_minus * f0p ** (s - 1))
+    with np.errstate(invalid="ignore"):  # inf * 0 at large s: checked below
+        rhs[s, 0] = -(w_plus * f0m ** (s - 1) + K_neg_chs1 * w_minus * f0p ** (s - 1))
     A = np.broadcast_to(_limit_system_matrix(p, v_minus), (s + 1, 2 * s, 2 * s))
     coeffs = np.abs(solve_checked(A, rhs, "horizontal limit system")[:, :s])
     K_pos_ch = float(np.max(coeffs[:s]))

@@ -282,9 +282,10 @@ def w_ratio_roots(p: ModelParams) -> tuple[float, float]:
     s = p.s
     fp0, fm0 = f_pm(0.0, p)
     fp0, fm0 = fp0.real, fm0.real
-    power_sum = s**s * (fp0**s + fm0**s)
-    wdisc = np.sqrt(power_sum**2 - 4 * b**s * s**s)
-    w_plus = (power_sum + wdisc) / (2 * b**s)
+    with np.errstate(over="ignore", invalid="ignore"):  # limit_coeffs checks
+        power_sum = s**s * (fp0**s + fm0**s)
+        wdisc = np.sqrt(power_sum**2 - 4 * b**s * s**s)
+        w_plus = (power_sum + wdisc) / (2 * b**s)
     return (s**s / b**s) / w_plus, w_plus
 
 

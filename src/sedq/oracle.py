@@ -8,8 +8,9 @@ Two generators that share nothing with the series solver:
   The probability within one step of the box edge is reported so callers can
   certify that the truncation does not pollute the interior.
 * :func:`simulate` runs the arrival/routing/service dynamics event by event
-  with a self-contained xorshift64* generator, so runs are reproducible from
-  the seed alone, across platforms and implementations.
+  with a self-contained xorshift64* generator, drawn in bulk by jump-ahead,
+  so runs are reproducible to the bit from the seed alone, across platforms
+  and implementations.
 
 Both export plain ``(q1, q2) -> probability`` maps; :func:`compare` diffs two
 such maps over a window.
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import BoxTooSmall, InvalidParam, SingularGenerator
 from .model import ModelParams
@@ -101,6 +102,10 @@ def oracle_solve(
     (either side below ``4*s``) or if the stationary mass within one step of
     the edge exceeds ``mass_tol``.
     """
+    # scipy costs about 0.3 s to import; no other command needs it
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     s, q = p.s, p.q
     lam = p.arrival_rate
     n1, n2 = box.q1max + 1, box.q2max + 1
@@ -159,13 +164,48 @@ def oracle_solve(
     return OracleResult(probs=probs, boundary_mass=boundary)
 
 
+LANES = 256
+CHUNK = 1 << 12  # events per bulk draw; larger chunks cost memory, not time
+_BITS = np.arange(64, dtype=np.uint64)
+
+
+def _gf2_apply(cols: np.ndarray, x) -> np.ndarray:
+    """Apply 64x64 GF(2) matrices, given by their columns as words, to ``x``."""
+    bits = (np.asarray(x, dtype=np.uint64)[..., None] >> _BITS) & np.uint64(1)
+    return np.bitwise_xor.reduce(cols * bits, axis=-1)
+
+
+def _step(x: np.ndarray) -> np.ndarray:
+    x = x ^ (x >> np.uint64(12))
+    x ^= x << np.uint64(25)
+    return x ^ (x >> np.uint64(27))
+
+
+@lru_cache(maxsize=8)
+def _lane_jumps(length: int) -> np.ndarray:
+    """Columns of ``T**(j * length)`` for each lane ``j``, shape ``(LANES, 64)``."""
+    jump = basis = np.uint64(1) << _BITS
+    for _ in range(length):
+        jump = _step(jump)
+    out = [basis]
+    for _ in range(1, LANES):
+        out.append(_gf2_apply(jump, out[-1]))
+    return np.array(out)
+
+
 class XorShift64Star:
     """xorshift64* PRNG: shifts (12, 25, 27), multiplier 2685821657736338717.
 
     The seed is whitened through one splitmix64 step (increment
     0x9E3779B97F4A7C15, mixers 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB) so
     that seed 0 yields a nonzero state.  ``uniform`` returns the top 53 bits
-    scaled to [0, 1).
+    of the scrambled output scaled to [0, 1).
+
+    :meth:`states` makes the stream in bulk.  The step ``T`` is linear over
+    GF(2), so the state ``k`` draws ahead is a product with the 64x64 bit
+    matrix ``T**k`` (jump-ahead).  ``LANES`` lanes, each a stretch of the
+    stream, start from jumped states and step side by side on a ``uint64``
+    array; end to end they are the states :meth:`next_u64` steps through.
     """
 
     MASK = (1 << 64) - 1
@@ -189,6 +229,22 @@ class XorShift64Star:
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
 
+    def states(self, n: int) -> np.ndarray:
+        """The next ``n >= 1`` states as ``uint64``; the generator moves past them."""
+        length = -(-n // LANES)
+        x = _gf2_apply(_lane_jumps(length), self.state)
+        out = np.empty((length, LANES), dtype=np.uint64)
+        for k in range(length):
+            x = out[k] = _step(x)
+        out = out.T.ravel()[:n]
+        self.state = int(out[-1])
+        return out
+
+    @classmethod
+    def uniforms(cls, states: np.ndarray) -> np.ndarray:
+        """:meth:`uniform` of each state: ``uint64`` products wrap mod 2**64."""
+        return ((states * np.uint64(cls.MULT)) >> np.uint64(11)) * 2.0**-53
+
 
 def simulate(p: ModelParams, cfg: SimConfig, n_batches: int = 100) -> SimResult:
     """Event-driven simulation of the SED dynamics.
@@ -196,53 +252,78 @@ def simulate(p: ModelParams, cfg: SimConfig, n_batches: int = 100) -> SimResult:
     Exponential clocks via inversion; SED routing with tie probability ``q``.
     Sojourn times after the warmup are accumulated per state and split into
     ``n_batches`` consecutive batches for standard-error estimation.
+
+    Each chunk of ``CHUNK`` events takes one bulk draw of three uniforms per
+    event (the most one uses) and resumes the generator after the last draw
+    used.  Sojourns use ``math.log`` (``np.log`` can differ in the last bit);
+    ``np.add.at`` adds them into a ``(batch, state)`` array in event order, so
+    each sum has the terms and order of a per-event walk and the bits agree.
     """
-    s, q = p.s, p.q
-    lam = p.arrival_rate
+    if n_batches < 1:
+        raise InvalidParam(f"n_batches must be at least 1, got {n_batches}")
+    s, q, lam = p.s, p.q, p.arrival_rate
     rng = XorShift64Star(cfg.seed)
-    uniform = rng.uniform
-    log = math.log
 
-    q1 = q2 = 0
-    measured = cfg.events - cfg.warmup
-    batches: list[dict[tuple[int, int], float]] = [{} for _ in range(n_batches)]
-    batch_time = [0.0] * n_batches
-
-    for i in range(cfg.events):
-        r1 = 1.0 if q1 > 0 else 0.0
-        r2 = float(s) if q2 > 0 else 0.0
-        total = lam + r1 + r2
-        dt = -log(1.0 - uniform()) / total
-        if i >= cfg.warmup:
-            bi = (i - cfg.warmup) * n_batches // measured
-            key = (q1, q2)
-            acc = batches[bi]
-            acc[key] = acc.get(key, 0.0) + dt
-            batch_time[bi] += dt
-        u = uniform() * total
-        if u < lam:
-            side = _route_arrival(q1, q2, s)
-            if side == 0:
-                side = -1 if uniform() < q else 1
-            if side < 0:
-                q1 += 1
+    # state code q1 * WIDE + q2 -> (column, total rate, lam + r1, routing side)
+    WIDE = 1 << 32
+    info: dict[int, tuple[int, float, float, int]] = {}
+    acc, seen = np.zeros((n_batches, 0)), np.zeros((n_batches, 0), dtype=bool)
+    batch_time = np.zeros(n_batches)
+    code = 0
+    for first in range(0, cfg.events, CHUNK):
+        n = min(CHUNK, cfg.events - first)
+        states = rng.states(3 * CHUNK)
+        uniforms = XorShift64Star.uniforms(states)
+        draws = iter(uniforms.tolist()).__next__
+        cols, ties = [], []
+        for k in range(n):
+            try:
+                col, total, lam_r1, side = info[code]
+            except KeyError:  # first visit of the state
+                q1, q2 = divmod(code, WIDE)
+                r1 = 1.0 if q1 > 0 else 0.0
+                r2 = float(s) if q2 > 0 else 0.0
+                col, total, lam_r1 = len(info), lam + r1 + r2, lam + r1
+                side = _route_arrival(q1, q2, s)
+                info[code] = (col, total, lam_r1, side)
+            cols.append(col)
+            draws()  # the sojourn's draw
+            u = draws() * total
+            if u < lam:
+                if side == 0:
+                    ties.append(k)
+                    side = -1 if draws() < q else 1
+                code += WIDE if side < 0 else 1
+            elif u < lam_r1:
+                code -= WIDE
             else:
-                q2 += 1
-        elif u < lam + r1:
-            q1 -= 1
-        else:
-            q2 -= 1
+                code -= 1
+        rng.state = int(states[2 * n + len(ties) - 1])
 
-    total_time = sum(batch_time)
-    freq: dict[tuple[int, int], float] = {}
-    for acc in batches:
-        for key, t in acc.items():
-            freq[key] = freq.get(key, 0.0) + t
-    freq = {k: v / total_time for k, v in freq.items()}
+        # event k's sojourn is the draw after 2 k draws and the ties before k
+        k = np.arange(max(cfg.warmup - first, 0), n)
+        col = np.array(cols, dtype=np.intp)[k]
+        u = uniforms[2 * k + np.searchsorted(ties, k)]
+        totals = np.array([total for _, total, _, _ in info.values()])
+        dt = -np.array(list(map(math.log, (1.0 - u).tolist()))) / totals[col]
+        bi = (first + k - cfg.warmup) * n_batches // (cfg.events - cfg.warmup)
+        grow = ((0, 0), (0, len(info) - acc.shape[1]))
+        acc, seen = np.pad(acc, grow), np.pad(seen, grow)
+        np.add.at(acc, (bi, col), dt)
+        np.add.at(batch_time, bi, dt)
+        seen[bi, col] = True
+
+    keys = [divmod(code, WIDE) for code in info]
+
+    def by_state(visited, values):
+        return dict(zip(compress(keys, visited), values[visited].tolist()))
+
+    total_time = sum(batch_time.tolist())
+    freq = by_state(seen.any(axis=0), np.add.accumulate(acc)[-1] / total_time)
     batch_out = [
-        (batch_time[i], {k: v / batch_time[i] for k, v in batches[i].items()})
-        for i in range(n_batches)
-        if batch_time[i] > 0
+        (t, by_state(seen[i], acc[i] / t))
+        for i, t in enumerate(batch_time.tolist())
+        if t > 0
     ]
     return SimResult(freq=freq, total_time=total_time, batches=batch_out)
 
@@ -252,14 +333,11 @@ def sim_standard_errors(res: SimResult) -> dict[tuple[int, int], float]:
     B = len(res.batches)
     if B < 2:
         raise InvalidParam("need at least two batches for standard errors")
-    states = set()
-    for _, fr in res.batches:
-        states.update(fr)
-    out = {}
-    for st in states:
-        xs = np.array([fr.get(st, 0.0) for _, fr in res.batches])
-        out[st] = float(np.std(xs, ddof=1) / np.sqrt(B))
-    return out
+    batches = [fr for _, fr in res.batches]
+    return {
+        st: float(np.std([fr.get(st, 0.0) for fr in batches], ddof=1) / np.sqrt(B))
+        for st in set().union(*batches)
+    }
 
 
 def compare(

@@ -1,8 +1,8 @@
 import io
 import json
 import re
+import warnings
 
-import numpy as np
 import pytest
 
 from sedq.cli import _write_json, main
@@ -344,7 +344,9 @@ def test_unwritable_path_rejected_before_solving(flag, tmp_path, monkeypatch, ca
     ids=["solve-s80", "solve-s120", "solve-s150", "nindex-s120", "nindex-s150", "lmap-s150"],
 )
 def test_large_s_fails_typed(argv, capsys):
-    with np.errstate(all="ignore"):
+    # the overflow reaches the typed check without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert re.search(r"s = \d+ is too large", err)

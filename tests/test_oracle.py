@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from conftest import rel_residual
 from sedq.errors import BoxTooSmall, InvalidParam
 from sedq.model import QueueState, to_internal, validate_params
 from sedq.oracle import (
+    CHUNK,
+    LANES,
     SimConfig,
     TruncationBox,
     XorShift64Star,
@@ -28,6 +34,22 @@ ORACLE_DIGESTS = {
         "581b934718ab7fef143e7fb59e728754ede280a4f860f54e42c42675775b5a91",
     ((1, 0.8, 1.0), (60, 60)):
         "eafb5b40e4d662fa4a84ccc86bf59268881244bc8b4a912e063f7bca34f807cd",
+}
+
+# sha256 of the repr of the simulator's state frequencies, total time and
+# batches, keyed by (triple, (events, seed, warmup), n_batches).  repr keeps
+# every bit of every float, so any reordered sum or changed draw shows.  The
+# q = 1 case takes the tie draw at every tie; the last one spans many chunks
+# of the event loop, and its warmup ends on a chunk edge.
+SIM_DIGESTS = {
+    ((2, 0.9, 0.4), (100_000, 0, 0), 100):
+        "979d67aafe29745cb957e22be5a9ca4783336570e39ed91b1d918e74971059c5",
+    ((3, 0.93, 1.0), (100_000, 1, 0), 100):
+        "a5fd3c0a02de8ed9ed42cd72df7d688f2808306915c8747f2b9db9b87b2255db",
+    ((1, 0.85, 0.0), (100_000, 2, 0), 100):
+        "24c32f9fbbb1ffd13cf60d588e004e0bdd8a7242b83e1c0d947b69c0a3d9ff98",
+    ((2, 0.5, 0.4), (131_073, 3, 65_536), 7):
+        "0ca50ef2d3ff19731077cd09b9fd500fe2240146b6e67c87aed7537ad5065374",
 }
 
 
@@ -104,6 +126,18 @@ def test_oracle_digest(triple, box):
     assert hashlib.sha256(data).hexdigest() == ORACLE_DIGESTS[(triple, box)]
 
 
+@pytest.mark.parametrize("triple, cfg, n_batches", SIM_DIGESTS, ids=str)
+def test_simulation_digest(triple, cfg, n_batches):
+    res = simulate(validate_params(*triple), SimConfig(*cfg), n_batches)
+    text = repr((
+        sorted(res.freq.items()),
+        res.total_time,
+        [(t, sorted(fr.items())) for t, fr in res.batches],
+    ))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == SIM_DIGESTS[(triple, cfg, n_batches)]
+
+
 class TestRouting:
     def test_faster_queue_attracts_arrivals(self):
         from sedq.oracle import _route_arrival
@@ -168,10 +202,42 @@ class TestSimulate:
     def test_rng_reference_stream(self):
         # xorshift64* is fully specified, so the stream is a frozen contract
         rng = XorShift64Star(0)
-        first = [rng.next_u64() for _ in range(3)]
-        rng2 = XorShift64Star(0)
-        assert [rng2.next_u64() for _ in range(3)] == first
+        assert [rng.next_u64() for _ in range(3)] == [
+            0x7BBCB40D550682D0,
+            0xDE7FE413D00CC9FD,
+            0xB3C638353C668C91,
+        ]
         assert all(0 <= XorShift64Star(9).uniform() < 1 for _ in range(100))
+
+    @pytest.mark.parametrize("n", [1, LANES - 1, LANES, LANES + 1, 3 * CHUNK + 1])
+    def test_bulk_states_equal_single_draws(self, n):
+        bulk, single = XorShift64Star(7), XorShift64Star(7)
+        bulk.next_u64()  # start off the seed state
+        single.next_u64()
+        states = bulk.states(n)
+        expect = [single.next_u64() for _ in range(n)]
+        assert (states * np.uint64(XorShift64Star.MULT)).tolist() == expect
+        assert bulk.state == single.state
+        single = XorShift64Star(7)
+        single.next_u64()
+        expect = [single.uniform() for _ in range(n)]
+        assert XorShift64Star.uniforms(states).tolist() == expect
+
+    def test_batch_count_must_be_positive(self):
+        with pytest.raises(InvalidParam, match="n_batches"):
+            simulate(P21, SimConfig(100, 1), n_batches=0)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported by oracle_solve only, so the other commands skip it
+    import sedq
+
+    code = "import sys, sedq.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(sedq.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestCompare:
