@@ -272,8 +272,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise InvalidParam(f"--window must be nonnegative, got {args.window}")
     if not args.tol >= 0:
         raise InvalidParam(f"--tol must be a nonnegative number, got {args.tol}")
-    if not math.isfinite(args.events):
-        raise InvalidParam(f"--events must be finite, got {args.events}")
+    if not 1 <= args.events < math.inf:
+        raise InvalidParam(f"--events must be a finite number >= 1, got {args.events}")
     if args.box:
         extents = _numbers(args.box.lower(), "x", int, "--box")
         if len(extents) != 2:

@@ -21,7 +21,7 @@ such that this holds for all ``m + |n| > N`` (and for the ``n = 0`` series at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -121,23 +121,8 @@ def limit_coeffs(p: ModelParams) -> LimitConstants:
             tie + w_minus * f0p ** (s - 1)
         )
 
-    # row j < s: the upper children of branch j + 1; row s: the lower child
-    units = roots_of_unity(s)
-    r = np.arange(s)
-    w = (v_plus ** (r / s)) * units[:, None] ** r
-    rhs = np.zeros((s + 1, 2 * s), dtype=complex)
-    rhs[:s, :s] = -v_plus * w
-    rhs[:s, 0] -= K_pos_chs1 * w_minus * f0p ** (s - 1)
-    rhs[:s, s:] = w
-    with np.errstate(invalid="ignore"):  # inf * 0 at large s: checked below
-        rhs[s, 0] = -(w_plus * f0m ** (s - 1) + K_neg_chs1 * w_minus * f0p ** (s - 1))
-    A = np.broadcast_to(_limit_system_matrix(p, v_minus), (s + 1, 2 * s, 2 * s))
-    coeffs = np.abs(solve_checked(A, rhs, "horizontal limit system")[:, :s])
-    K_pos_ch = float(np.max(coeffs[:s]))
-    K_neg_ch = float(np.max(coeffs[s]))
-
-    c = LimitConstants(
-        s=s,
+    # the closed forms, checked before the limit system that they feed
+    closed = dict(
         v_minus=float(v_minus),
         v_plus=float(v_plus),
         w_minus=float(w_minus),
@@ -146,16 +131,33 @@ def limit_coeffs(p: ModelParams) -> LimitConstants:
         f0_plus=float(f0p),
         K_pos_cv=complex(K_pos_cv),
         K_neg_cv=complex(K_neg_cv),
-        K_pos_ch=K_pos_ch,
-        K_neg_ch=K_neg_ch,
         K_pos_chs1=complex(K_pos_chs1),
         K_neg_chs1=complex(K_neg_chs1),
     )
-    bad = [f.name for f in fields(c) if not np.isfinite(getattr(c, f.name))]
+    _check_finite(p, closed)
+
+    # row j < s: the upper children of branch j + 1; row s: the lower child
+    units = roots_of_unity(s)
+    r = np.arange(s)
+    w = (v_plus ** (r / s)) * units[:, None] ** r
+    rhs = np.zeros((s + 1, 2 * s), dtype=complex)
+    rhs[:s, :s] = -v_plus * w
+    rhs[:s, 0] -= K_pos_chs1 * w_minus * f0p ** (s - 1)
+    rhs[:s, s:] = w
+    rhs[s, 0] = -(w_plus * f0m ** (s - 1) + K_neg_chs1 * w_minus * f0p ** (s - 1))
+    A = np.broadcast_to(_limit_system_matrix(p, v_minus), (s + 1, 2 * s, 2 * s))
+    coeffs = np.abs(solve_checked(A, rhs, "horizontal limit system")[:, :s])
+    ch = dict(K_pos_ch=float(np.max(coeffs[:s])), K_neg_ch=float(np.max(coeffs[s])))
+    _check_finite(p, ch)
+    return LimitConstants(s=s, **closed, **ch)
+
+
+def _check_finite(p: ModelParams, constants: dict) -> None:
+    """:class:`InvalidParam` naming the first non-finite of ``constants``."""
+    bad = [name for name, val in constants.items() if not np.isfinite(val)]
     if bad:
-        raise InvalidParam(f"s = {s} is too large at rho = {p.rho}: the limit "
+        raise InvalidParam(f"s = {p.s} is too large at rho = {p.rho}: the limit "
                            f"constant {bad[0]} overflows the float range")
-    return c
 
 
 def ratio_matrix(kind: str, m: int, n: int, c: LimitConstants) -> np.ndarray:

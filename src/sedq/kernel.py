@@ -33,20 +33,20 @@ which is polynomial in both variables and owns exactly one in-disk root on
 each side.
 
 Root finding follows one strategy throughout: rescale the unknown by the
-fixed variable (so all interesting roots live in the unit disk), certify the
-in-disk count with an argument-principle winding number over the disk
-boundary, and run complex Newton from the root's small-alpha limit.  As alpha
-shrinks the in-disk ratios ``beta/alpha`` coalesce at ``v-`` (upper kernel,
+fixed variable (so all interesting roots live in the unit disk) and run
+complex Newton from the root's small-alpha limit.  As alpha shrinks the
+in-disk ratios ``beta/alpha`` coalesce at ``v-`` (upper kernel,
 :func:`v_ratio_roots`) and ``w-`` (lower kernel, :func:`w_ratio_roots`), so
-that limit is the one start of each root.  Violations raise
+that limit is the one start of each root.  The in-disk counts need no
+contour: a Rouché identity proves the upper one for every ``|alpha| < 1``,
+and a Schur-Cohn test checks the lower one.  Violations raise
 :class:`~sedq.errors.RootCountMismatch` rather than being repaired silently.
 
 Every function takes a scalar or an array through one numpy implementation.
-:func:`betas_pos` and :func:`beta_neg` take a scalar alpha or a 1-D stack:
-the stack is certified in one contour evaluation and solved by one masked
-Newton iteration over all its roots.  The vertical roots and the
-eigenvectors broadcast their arguments.  The arithmetic is elementwise, so a
-scalar call returns the bits of its row in a stack.
+:func:`betas_pos` and :func:`beta_neg` take a scalar alpha or a 1-D stack,
+solved and checked by one masked Newton iteration over all its roots.  The
+vertical roots and the eigenvectors broadcast their arguments.  Elementwise
+arithmetic gives a scalar call the bits of its row in a stack.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ __all__ = [
     "eigvec_neg",
     "kernel_matrix_pos",
     "kernel_matrix_neg",
-    "winding_count",
     "v_ratio_roots",
     "w_ratio_roots",
 ]
@@ -82,12 +81,6 @@ __all__ = [
 ROOT_RTOL = 1e-10
 #: coincidence threshold, relative to the expected branch-splitting scale
 DISTINCT_ATOL = 1e-8
-#: points on the certification contour
-CONTOUR_POINTS = 2048
-#: the certification contour: the unit circle, closed (first point repeated)
-CONTOUR = np.exp(1j * np.linspace(0.0, 2 * np.pi, CONTOUR_POINTS + 1))
-#: polynomials per contour evaluation in :func:`winding_count` (bounds memory)
-CONTOUR_ROWS = 4
 #: Newton steps per root in :func:`_branch_newton` and :func:`beta_neg`
 NEWTON_STEPS = 60
 
@@ -232,38 +225,6 @@ def _det_neg_scale(alpha, beta, p: ModelParams):
     )
 
 
-def winding_count(coeffs: np.ndarray) -> int | np.ndarray:
-    """Number of polynomial zeros inside the unit disk by winding number.
-
-    ``coeffs`` is one polynomial or a ``(k, deg+1)`` stack of them; a stack
-    returns one count per row.  Trapezoid walk of the argument of ``P``
-    along :data:`CONTOUR`; the total phase change divided by ``2*pi`` is the
-    zero count.  Raises :class:`RootCountMismatch` when the integral is too
-    far from an integer or the polynomial nearly vanishes on the contour
-    (root on the boundary).
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    rows = np.atleast_2d(coeffs)
-    powers = np.vander(CONTOUR, rows.shape[1], increasing=True).T
-    counts = np.empty(len(rows), dtype=int)
-    for i in range(0, len(rows), CONTOUR_ROWS):
-        w = rows[i : i + CONTOUR_ROWS] @ powers
-        mags = np.abs(w)
-        scale = np.max(mags, axis=1)
-        if np.any(scale == 0.0) or np.any(np.min(mags, axis=1) < 1e-13 * scale):
-            raise RootCountMismatch("kernel determinant nearly vanishes on the contour")
-        steps = np.angle(w[:, 1:] * w[:, :-1].conj())  # arg(w[k+1] / w[k])
-        total = np.sum(steps, axis=1) / (2 * np.pi)
-        count = np.rint(total)
-        off = np.abs(total - count) > 0.25
-        if np.any(off):
-            raise RootCountMismatch(
-                f"winding integral {total[off][0]:.6f} is not close to an integer"
-            )
-        counts[i : i + len(w)] = count
-    return int(counts[0]) if coeffs.ndim == 1 else counts
-
-
 def v_ratio_roots(p: ModelParams) -> tuple[float, float]:
     """Limit ratios ``v-, v+``: roots of ``v^2*(1+s)*rho - v*(1+s)*(rho+1) + 1``."""
     _, b = _ab(p)
@@ -362,25 +323,23 @@ def betas_pos(alpha, p: ModelParams) -> np.ndarray:
     """The s roots of the positive kernel inside ``|beta| < |alpha|``.
 
     ``alpha`` is a scalar, giving shape ``(s,)``, or a 1-D stack, giving
-    ``(k, s)``; column ``j`` is the root of branch ``j + 1``.  The in-disk
-    count is certified by the winding number of the determinant (in
-    ``z = beta/alpha``) over the unit circle; each root is then located on
-    its own branch equation by Newton from the small-alpha asymptotic start
-    ``z = v- + s*sigma*v-^(1+1/s) / (b*(v+ - v-))``: the in-disk roots
+    ``(k, s)``; column ``j`` is the root of branch ``j + 1``.
+
+    The count ``s`` holds for every ``|alpha| < 1``, so it is not checked.
+    In ``z = beta/alpha`` the determinant is ``P0 - alpha*s^s*z^(s+1)``,
+    ``P0 = (a*z - b*z^2 - 1)^s = (-b)^s*((z - v-)(z - v+))^s``, ``v- < 1 <
+    v+``.  On ``|z| = 1``, ``|P0| >= (b*(1 - v-)*(v+ - 1))^s = s^s`` (Vieta:
+    ``b*(1 - v-)*(v+ - 1) = a - b - 1 = s``), above ``|alpha|*s^s``; Rouché
+    gives the ``s`` zeros of ``P0`` in the disk.
+
+    Newton finds each root on its own branch equation from the small-alpha
+    start ``z = v- + s*sigma*v-^(1+1/s) / (b*(v+ - v-))``: the roots
     coalesce at ``v-`` as alpha shrinks and split along their branches at
     order ``alpha^(1/s)``.
     """
     _in_disk(alpha, "alpha")
-    a, b = _ab(p)
+    _, b = _ab(p)
     s = p.s
-    # determinant in z = beta/alpha:  (a*z - b*z^2 - 1)^s - alpha*s^s*z^(s+1)
-    coeffs = np.zeros((len(alpha), 2 * s + 2), dtype=complex)
-    coeffs[:, : 2 * s + 1] = npoly.polypow(np.array([-1.0, a, -b]), s)
-    coeffs[:, s + 1] -= alpha * s**s
-    if np.any(winding_count(coeffs) != s):
-        raise RootCountMismatch(
-            f"positive kernel does not have exactly {s} roots inside the disk"
-        )
     v_minus, v_plus = v_ratio_roots(p)
     sigma = principal_root(alpha, s)[:, None] * roots_of_unity(s)
     start = v_minus + s * sigma * v_minus ** (1 + 1 / s) / (b * (v_plus - v_minus))
@@ -431,14 +390,40 @@ def partner_alpha_pos(alpha, beta, p: ModelParams):
     return other
 
 
+def _cofactor_outside_disk(coeffs: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """Which rows of ``coeffs`` over ``z - z0`` have no zero in ``|z| <= 1``.
+
+    ``coeffs`` is a ``(k, n)`` stack, lowest degree first, and ``z0`` one
+    root per row, its smallest, so Horner from the top divides stably.  The
+    cofactor ``q`` then takes the Schur-Cohn test (Henrici, *Applied and
+    Computational Complex Analysis* I, sec. 6.8): ``|q_d| < |q_0|`` at its
+    degree ``d``, then the same for ``conj(q_0)*q - q_d*q*`` (``q*``:
+    reversed, conjugated) down to degree 1; a zero on the circle fails a
+    step.  Rows are scaled to max-abs 1 first, so nothing overflows; a NaN
+    fails.
+    """
+    q = np.empty((len(coeffs), coeffs.shape[1] - 1), dtype=complex)
+    q[:, -1] = coeffs[:, -1]
+    for j in range(q.shape[1] - 1, 0, -1):
+        q[:, j - 1] = coeffs[:, j] + z0 * q[:, j]
+    ok = np.ones(len(q), dtype=bool)
+    with np.errstate(all="ignore"):
+        for d in range(q.shape[1] - 1, 0, -1):
+            q = q[:, : d + 1] / np.max(np.abs(q[:, : d + 1]), axis=1, keepdims=True)
+            ok &= np.abs(q[:, d]) < np.abs(q[:, 0])
+            q = q[:, :1].conj() * q - q[:, d:] * q[:, ::-1].conj()
+    return ok
+
+
 @_stackable
 def beta_neg(alpha, p: ModelParams):
     """The unique root of the negative kernel inside ``|beta| < |alpha|``.
 
-    ``alpha`` is a scalar, or a 1-D array for one root per entry (certified
-    and solved together, as in :func:`betas_pos`).  Newton on the
-    determinant in ``z = beta/alpha`` starts from its small-alpha limit
-    ``w-`` and stops as :func:`_branch_newton` does.
+    ``alpha`` is a scalar, or a 1-D array for one root per entry (solved
+    together, as in :func:`betas_pos`).  Newton in ``z = beta/alpha`` starts
+    from the small-alpha limit ``w-`` and stops as :func:`_branch_newton`
+    does.  No closed-form Rouché bound holds at level 0 in heavy traffic, so
+    :func:`_cofactor_outside_disk` checks that the other zeros lie outside.
     """
     _in_disk(alpha, "alpha")
     _, b = _ab(p)
@@ -448,10 +433,6 @@ def beta_neg(alpha, p: ModelParams):
     coeffs[:, 0] = s**s
     coeffs[:, 2] += b**s
     coeffs[:, 1 : s + 2] -= _waring(p) * alpha[:, None] ** np.arange(s + 1)
-    if np.any(winding_count(coeffs) != 1):
-        raise RootCountMismatch(
-            "negative kernel does not have exactly one root inside the disk"
-        )
     dcoeffs = npoly.polyder(coeffs, axis=1)
     z = np.full(len(alpha), w_ratio_roots(p)[0], dtype=complex)
     live = np.arange(len(z))
@@ -463,6 +444,10 @@ def beta_neg(alpha, p: ModelParams):
             z[live] -= step
             live = live[np.abs(step) > 1e-15 * np.abs(z[live])]
     _in_disk(z, "beta/alpha")
+    if not np.all(_cofactor_outside_disk(coeffs, z)):
+        raise RootCountMismatch(
+            "negative kernel does not have exactly one root inside the disk"
+        )
     beta = alpha * z
     _check_residual(det_neg(alpha, beta, p), _det_neg_scale(alpha, beta, p))
     return beta

@@ -73,7 +73,7 @@ def test_03_root_count_law():
                 alpha = rng.uniform(0.05, 0.95) * np.exp(
                     2j * np.pi * rng.uniform()
                 )
-                vals = betas_pos(alpha, p)  # winding-certified internally
+                vals = betas_pos(alpha, p)  # root count certified internally
                 assert vals.shape == (s,)
                 # one root per branch: column j solves branch j + 1
                 assert np.all(branch_residuals(alpha, vals, p) <= 1e-12)
@@ -83,7 +83,7 @@ def test_03_root_count_law():
                     assert resid <= 1e-10 * _det_pos_scale(alpha, v, p)
                     for w in vals[i + 1 :]:
                         assert abs(v - w) > 1e-8 * abs(alpha)
-                bn = beta_neg(alpha, p)  # winding-certified internally
+                bn = beta_neg(alpha, p)  # root count certified internally
                 assert abs(bn) < abs(alpha)
                 checked += 1
     assert checked == 1200

@@ -331,6 +331,19 @@ def test_unwritable_path_rejected_before_solving(flag, tmp_path, monkeypatch, ca
     assert f"{flag} {path}" in err
 
 
+@pytest.mark.parametrize("events", ["0", "-1"])
+def test_too_few_events_rejected_before_solving(events, monkeypatch, capsys):
+    def no_solve(*args):
+        raise AssertionError("solved before checking --events")
+
+    monkeypatch.setattr("sedq.cli.solve", no_solve)
+    argv = ["validate", *MODEL, "--simulate", "--events", events]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert f"--events must be a finite number >= 1, got {float(events)}" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import branch_residuals
 from sedq.errors import DegenerateEigenvector, RootCountMismatch
 from sedq.kernel import (
+    _cofactor_outside_disk,
     alpha_neg,
     beta_neg,
     betas_pos,
@@ -22,7 +23,7 @@ from sedq.kernel import (
     partner_alpha_pos,
     principal_root,
     roots_of_unity,
-    winding_count,
+    v_ratio_roots,
 )
 from sedq.model import validate_params
 
@@ -282,25 +283,69 @@ class TestEigenvectors:
             eigvec_neg(0.1, 0.0, P21)
 
 
+def outside(q):
+    # z*q(z) deflated at its root 0 is q itself, bit for bit
+    q = np.atleast_2d(q)
+    return _cofactor_outside_disk(np.pad(q, ((0, 0), (1, 0))), np.zeros(len(q)))
+
+
 class TestWinding:
-    def test_single_root_inside(self):
-        # (z - 0.5)(z - 2) = z^2 - 2.5 z + 1
-        assert winding_count(np.array([1.0, -2.5, 1.0])) == 1
+    """The cofactor check passes a row exactly when its winding number is 0."""
+
+    @staticmethod
+    def zeros_inside(q):
+        # winding number of q around |z| = 1, counted from its zeros
+        return sum(abs(r) < 1 for r in np.polynomial.polynomial.polyroots(q))
 
     def test_double_root_inside(self):
         # (z - 0.5)^2
-        assert winding_count(np.array([0.25, -1.0, 1.0])) == 2
-
-    def test_no_roots_inside(self):
-        assert winding_count(np.array([1.0, 0.0, 0.25])) == 0
-
-    def test_root_on_contour_rejected(self):
-        with pytest.raises(RootCountMismatch):
-            winding_count(np.array([-1.0, 1.0]))
+        q = [0.25, -1.0, 1.0]
+        assert self.zeros_inside(q) == 2
+        assert outside(q).tolist() == [False]
 
     def test_stack_counts_each_row(self):
-        stack = np.array([[1.0, -2.5, 1.0], [0.25, -1.0, 1.0], [1.0, 0.0, 0.25]])
-        assert winding_count(stack).tolist() == [1, 2, 0]
+        # zeros 0.5 and 2, 0.5 twice, +-2i, +-2
+        stack = [[1.0, -2.5, 1.0], [0.25, -1.0, 1.0], [1.0, 0.0, 0.25], [4, 0, -1]]
+        counts = [self.zeros_inside(q) for q in stack]
+        assert counts == [1, 2, 0, 0]
+        assert outside(stack).tolist() == [c == 0 for c in counts]
+
+
+class TestCofactorOutsideDisk:
+    def test_no_zero_inside(self):
+        assert outside([1.0, 0.0, 0.25]).tolist() == [True]
+
+    def test_zero_inside_rejected(self):
+        # (z - 0.5)(z - 2) = z^2 - 2.5 z + 1
+        assert outside([1.0, -2.5, 1.0]).tolist() == [False]
+
+    def test_zero_on_circle_rejected(self):
+        assert outside([-1.0, 1.0]).tolist() == [False]
+
+    def test_nan_row_rejected(self):
+        stack = [[1.0, 0.0, 0.25], [np.nan, 0.0, 0.25]]
+        assert outside(stack).tolist() == [True, False]
+
+    @pytest.mark.parametrize(
+        "roots,expected", [((0.5, 0.25, 3.0), False), ((0.5, -4.0, 3.0), True)]
+    )
+    def test_deflated_at_a_root(self, roots, expected):
+        coeffs = np.polynomial.polynomial.polyfromroots(roots)[None, :]
+        assert _cofactor_outside_disk(coeffs, np.array([0.5])).tolist() == [expected]
+
+
+class TestRoucheIdentity:
+    """The closed-form bound that proves the upper-kernel root count."""
+
+    @pytest.mark.parametrize("s", range(1, 21))
+    def test_circle_minimum_is_s(self, s):
+        z = np.exp(2j * np.pi * np.arange(4096) / 4096)
+        for rho in (0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99):
+            p = validate_params(s, rho, 0.4)
+            a, b = (1 + s) * (rho + 1), (1 + s) * rho
+            v_minus, v_plus = v_ratio_roots(p)
+            assert b * (1 - v_minus) * (v_plus - 1) == pytest.approx(s, rel=1e-12)
+            assert np.min(np.abs(a * z - b * z * z - 1)) >= s * (1 - 1e-12)
 
 
 STACK_ALPHAS = [0.125, 0.4, 0.05, 0.3 + 0.1j, -0.2 + 0.3j, 0.01 - 0.6j]
